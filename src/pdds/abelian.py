@@ -236,6 +236,29 @@ def torus_periods(hom: Homomorphism) -> TorusDims:
     return tuple(hom.group.element_order(g) for g in hom.generators)
 
 
+def check_periods(periods: TorusDims, dims: Sequence[int]) -> TorusDims:
+    """Torus dims as ints, checked to be positive multiples of the periods.
+
+    ``periods`` is :func:`torus_periods` of a homomorphism.  Axis i
+    satisfies d_i * g_i = 0 exactly when the order of g_i divides d_i, so
+    this is the condition for the homomorphism to descend to the torus.
+    Raises ValueError naming the first failing axis and the periods.
+
+    >>> check_periods((4, 2), (8, 2))
+    (8, 2)
+    """
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != len(periods):
+        raise ValueError(
+            f"torus has {len(dims)} axes, homomorphism has {len(periods)}")
+    for i, (d, p) in enumerate(zip(dims, periods)):
+        if d < 1 or d % p:
+            raise ValueError(
+                f"torus axis {i + 1} ({d}) is not a period of the homomorphism; "
+                f"periods are {periods}")
+    return dims
+
+
 def molnar_k_set(group: AbelianGroup) -> tuple[GroupElement, ...]:
     """One representative from each {g, -g} pair of nonidentity elements.
 

@@ -248,7 +248,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"pdds {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"pdds {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
                       check_bijection, molnar_k_set)
-from .lattice import (BoxSpec, Point, Shape, box_shape, is_box, lee_distance,
-                      t_neighborhood, translate, unit_vector)
+from .lattice import (BoxSpec, Point, Shape, box_shape, check_radius, is_box,
+                      lee_distance, t_neighborhood, translate, unit_vector)
 
 
 @dataclass
@@ -103,7 +103,7 @@ class Construction:
     @classmethod
     def from_json(cls, obj: dict) -> "Construction":
         return cls(
-            t=int(obj["t"]),
+            t=check_radius(obj.get("t")),
             h_spec=BoxSpec.from_json(obj["h"]),
             tile=Tile.from_json(obj["tile"]),
             hom=Homomorphism.from_json(obj["hom"]),

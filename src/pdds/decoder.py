@@ -6,17 +6,22 @@ with the same syndrome satisfies x = v + z for a kernel element z.  The
 tile's label at v already knows v's component and nearest device, and kernel
 translation preserves all distances — so decoding x is one table lookup plus
 a translation, no search.
+
+Everything that depends only on the table is computed once when it is
+built: the period torus, one generator column per cyclic factor (so the
+syndrome rank of x is a dot product per factor), and per rank the Lee
+distance from v to its device on the period torus.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from operator import add, mod, mul, sub
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .abelian import Homomorphism, check_bijection, phi_eval, torus_periods
+from .abelian import Homomorphism, check_bijection, check_periods, torus_periods
 from .constructions import Tile
-from .lattice import Point, lee_distance
+from .lattice import Point, TorusDims
 
 
 class DecodeResult(NamedTuple):
@@ -32,69 +37,98 @@ class DecodeResult(NamedTuple):
                 "distance": self.distance}
 
 
+class SyndromeEntry(NamedTuple):
+    """The tile vertex carrying one syndrome, and where its device lies."""
+
+    vertex: Point
+    component: int
+    device: Point
+    distance: int          # from vertex to device, on the period torus
+
+
 @dataclass
 class SyndromeTable:
     """Precomputed syndrome-rank index over a tile's labels.
 
-    ``entries`` maps the mixed-radix rank of each group element to the tile
-    vertex carrying that syndrome together with its component id and device;
-    ``components`` holds each tile component's vertices, used to report the
-    canonical anchor of the component (translate) that served a query.
+    ``entries[r]`` is the tile vertex whose syndrome has mixed-radix rank r
+    (see ``AbelianGroup.element_rank``), with its component id and device.
+    ``columns`` pairs each cyclic factor's modulus with the generators'
+    residues in that factor, so that factor's residue of phi(x) is
+    ``dot(x, column) % modulus``.  ``components`` holds each tile
+    component's vertices, used to report the canonical anchor of the
+    component (translate) that served a query.
     """
 
     hom: Homomorphism
-    entries: dict[int, tuple[Point, int, Point]]
+    periods: TorusDims
+    columns: tuple[tuple[int, tuple[int, ...]], ...]
+    entries: list[SyndromeEntry]
     components: tuple[tuple[Point, ...], ...]
+
+
+def _syndrome_rank(columns: Iterable[tuple[int, tuple[int, ...]]],
+                   x: Sequence[int]) -> int:
+    """Mixed-radix rank of phi(x): one dot product per cyclic factor."""
+    rank = 0
+    for m, col in columns:
+        rank = rank * m + sum(map(mul, x, col)) % m
+    return rank
+
+
+def _torus_norm(offset: Iterable[int], dims: Sequence[int]) -> int:
+    """Lee distance from the origin to offset on the torus."""
+    return sum(min(o % d, -o % d) for o, d in zip(offset, dims))
 
 
 def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
     """Index a tile's labels by syndrome rank.
 
-    Requires the tile-to-group bijection to hold (raises ValueError
-    otherwise); the table then has exactly one entry per group element.
+    Requires the tile-to-group bijection to hold (raises ValueError with the
+    collision or missing witness otherwise); the table then has exactly one
+    entry per group element.
     """
-    res = check_bijection(hom, tile.shape.vertices)
-    if not res.ok:
-        raise ValueError(f"tile does not map bijectively onto the group: {res}")
     group = hom.group
-    entries: dict[int, tuple[Point, int, Point]] = {}
+    periods = torus_periods(hom)
+    columns = tuple((m, tuple(g[j] for g in hom.generators))
+                    for j, m in enumerate(group.moduli))
+    entries: list[Optional[SyndromeEntry]] = [None] * group.order
     for v in tile.shape.vertices:
+        rank = _syndrome_rank(columns, v)
+        if entries[rank] is not None:
+            break
         cid, device = tile.labels[v]
-        entries[group.element_rank(phi_eval(hom, v))] = (v, cid, device)
-    assert len(entries) == group.order
-    components = tuple(comp.vertices for comp in tile.components())
-    return SyndromeTable(hom, entries, components)
+        entries[rank] = SyndromeEntry(v, cid, device,
+                                      _torus_norm(map(sub, device, v), periods))
+    else:
+        # No two vertices share a rank, so as many vertices as group
+        # elements fill every entry.
+        if len(tile.shape.vertices) == group.order:
+            components = tuple(comp.vertices for comp in tile.components())
+            return SyndromeTable(hom, periods, columns, entries, components)
+    res = check_bijection(hom, tile.shape.vertices)
+    raise ValueError(f"tile does not map bijectively onto the group: {res}")
 
 
 def decode(table: SyndromeTable, x: Sequence[int],
            torus: Optional[Sequence[int]] = None) -> DecodeResult:
     """Nearest device to x on the torus (default: the period torus).
 
-    The torus dimensions must be annihilated by the generator images, so
-    that syndromes — and hence the decoding — descend to the torus.  The
+    Each torus dimension must be a positive multiple of its axis's period,
+    so that syndromes — and hence the decoding — descend to the torus.  The
     returned distance never exceeds the construction's radius t on a valid
     table, since translation by the kernel preserves the tile-local
     distance.
     """
-    hom = table.hom
-    group = hom.group
-    dims = torus_periods(hom) if torus is None else tuple(int(d) for d in torus)
-    if len(dims) != hom.dim:
-        raise ValueError(f"torus has {len(dims)} axes, homomorphism has {hom.dim}")
-    for i, (d, g) in enumerate(zip(dims, hom.generators)):
-        if d < 1 or group.scale(d, g) != group.identity():
-            raise ValueError(
-                f"torus axis {i + 1} ({d}) is not a period of the homomorphism; "
-                f"periods are {torus_periods(hom)}")
-    x = tuple(int(c) for c in x)
-    if len(x) != hom.dim:
-        raise ValueError(f"vertex has {len(x)} coordinates, expected {hom.dim}")
-    v, cid, device = table.entries[group.element_rank(phi_eval(hom, x))]
-    z = tuple(a - b for a, b in zip(x, v))
-    dev = tuple((a + b) % d for a, b, d in zip(device, z, dims))
+    dims = table.periods if torus is None else check_periods(table.periods, torus)
+    x = tuple(map(int, x))
+    if len(x) != len(dims):
+        raise ValueError(f"vertex has {len(x)} coordinates, expected {len(dims)}")
+    v, cid, device, distance = table.entries[_syndrome_rank(table.columns, x)]
+    z = tuple(map(sub, x, v))
     # The anchor is the least vertex of the component *after* torus reduction
     # (reduction can reorder vertices, e.g. when a component straddles 0).
-    anchor = min(tuple((a + b) % d for a, b, d in zip(u, z, dims))
+    anchor = min(tuple(map(mod, map(add, u, z), dims))
                  for u in table.components[cid])
-    x_red = tuple(a % d for a, d in zip(x, dims))
-    return DecodeResult(dev, anchor, lee_distance(x_red, dev, dims))
+    if torus is not None:
+        distance = _torus_norm(map(sub, device, v), dims)
+    return DecodeResult(tuple(map(mod, map(add, device, z), dims)), anchor, distance)

@@ -44,6 +44,17 @@ def check_torus(dim: int, torus: Optional[TorusDims]) -> Optional[TorusDims]:
     return dims
 
 
+def check_radius(t: object) -> int:
+    """A domination radius from outside the program: a nonnegative int.
+
+    Raises ValueError for anything else, including a missing (None),
+    boolean, fractional or negative value.
+    """
+    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+        raise ValueError(f"t must be a nonnegative integer, got {t!r}")
+    return t
+
+
 def reduce_point(p: Sequence[int], torus: Optional[TorusDims]) -> Point:
     """Reduce a vertex modulo the torus (identity on the infinite grid)."""
     if torus is None:

@@ -25,10 +25,10 @@ from itertools import product as _cartesian
 from math import prod
 from typing import Iterator, Optional, Sequence
 
-from .abelian import Homomorphism,phi_eval, torus_periods
+from .abelian import Homomorphism, check_periods, phi_eval, torus_periods
 from .constructions import Construction, Tile
-from .lattice import (BoxSpec, Point, Shape, is_box, lee_distance,
-                      reduce_point, unit_vector)
+from .lattice import (BoxSpec, Point, Shape, check_radius, is_box,
+                      lee_distance, reduce_point, unit_vector)
 
 
 @dataclass
@@ -64,7 +64,7 @@ class PDDSInstance:
         comps = [Shape.of((tuple(v) for v in comp), dim=len(torus))
                  for comp in obj["components"]]
         comps.sort(key=lambda s: s.vertices)
-        return cls(torus, int(obj["t"]), BoxSpec.from_json(obj["h"]), comps)
+        return cls(torus, check_radius(obj.get("t")), BoxSpec.from_json(obj["h"]), comps)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -116,15 +116,6 @@ def _unflatten(idx: int, dims: Sequence[int]) -> Point:
     return tuple(out)
 
 
-def _check_annihilates(hom: Homomorphism, dims: Sequence[int]) -> None:
-    group = hom.group
-    for i, (d, g) in enumerate(zip(dims, hom.generators)):
-        if group.scale(d, g) != group.identity():
-            raise ValueError(
-                f"torus axis {i + 1} ({d}) is not a period of the homomorphism: "
-                f"{d} * {g} != 0; periods are {torus_periods(hom)}")
-
-
 def _kernel_elements(hom: Homomorphism, dims: tuple[int, ...]) -> Iterator[Point]:
     """All torus vertices mapping to the identity, in lexicographic order.
 
@@ -174,10 +165,8 @@ def instantiate_on_torus(construction: Construction,
     """
     hom = construction.hom
     group = hom.group
-    dims = torus_periods(hom) if torus is None else tuple(int(d) for d in torus)
-    if len(dims) != hom.dim:
-        raise ValueError(f"torus has {len(dims)} axes, construction has {hom.dim}")
-    _check_annihilates(hom, dims)
+    periods = torus_periods(hom)
+    dims = periods if torus is None else check_periods(periods, torus)
 
     # The inverse syndrome map doubles as a corruption check: a tile that no
     # longer maps bijectively cannot tile anything.
@@ -258,7 +247,8 @@ def _lift_component(comp: Shape, dims: tuple[int, ...]) -> Optional[Shape]:
                 w = list(v)
                 w[i] = (w[i] + step) % dims[i]
                 w = tuple(w)
-                if w not in members:
+                # On an axis of length 1 the step is a self-loop, not an edge.
+                if w not in members or w == v:
                     continue
                 cand = list(lift_v)
                 cand[i] += step
@@ -347,7 +337,6 @@ def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
 
     cover = bytearray(volume)          # 0, 1, or 2 components saturating
     comp_of = [-1] * volume
-    dist_of = bytearray([255]) * volume
     count_of = bytearray(volume)       # minimizer count within the covering component
     multi: dict[int, list[int]] = {}   # flat -> list of covering component ids
 
@@ -366,11 +355,10 @@ def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
                     entry[1] = 1
                 elif d == entry[0]:
                     entry[1] += 1
-        for flat, (d, cnt) in local.items():
+        for flat, (_, cnt) in local.items():
             if cover[flat] == 0:
                 cover[flat] = 1
                 comp_of[flat] = cid
-                dist_of[flat] = d
                 count_of[flat] = min(cnt, 255)
             else:
                 if cover[flat] == 1:
@@ -388,10 +376,13 @@ def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
             violations.append(Violation(
                 x, "uncovered", f"no component within distance {inst.t}"))
         elif state == 1:
+            # No per-vertex distance array (it would cost a word per torus
+            # vertex); recompute the one distance this rare message needs.
+            cid = comp_of[flat]
+            d = min(lee_distance(x, w, dims) for w in inst.components[cid].vertices)
             violations.append(Violation(
                 x, "ambiguous_nearest",
-                f"{count_of[flat]} nearest vertices in component {comp_of[flat]} "
-                f"at distance {dist_of[flat]}"))
+                f"{count_of[flat]} nearest vertices in component {cid} at distance {d}"))
         else:
             ids = ", ".join(str(c) for c in multi[flat])
             violations.append(Violation(
@@ -413,6 +404,7 @@ def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True,
     """
     if method not in ("auto", "expansion", "scan"):
         raise ValueError(f"unknown method {method!r}")
+    check_radius(inst.t)
     for comp in inst.components:
         if comp.dim != inst.dim:
             raise ValueError("component dimension differs from torus dimension")
@@ -435,8 +427,7 @@ def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
     ``tile.shape`` by a kernel element.  This is the geometric face of the
     tile-to-group bijection: it holds iff check_bijection reports ok.
     """
-    dims = inst.torus
-    _check_annihilates(hom, dims)
+    dims = check_periods(torus_periods(hom), inst.torus)
     volume = prod(dims)
     tile_verts = tile.shape.vertices
     if not tile_verts or volume % len(tile_verts):

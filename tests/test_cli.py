@@ -173,3 +173,30 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "nosuchcommand")
     assert code == 2
+
+
+@pytest.mark.parametrize("t", [None, -1])
+def test_verify_rejects_bad_t_without_traceback(capsys, tmp_path, t):
+    for kind, blob in (("instance", instantiate_on_torus(plc_n1(2)).to_json()),
+                       ("construction", plc_n1(2).to_json())):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(dict(blob, t=t)))
+        code, out, err = invoke(capsys, "verify", str(path))
+        assert code == 1 and out == "", kind
+        assert err.startswith("pdds verify:") and "nonnegative integer" in err, kind
+
+
+def test_mistyped_json_field_exits_one(capsys, tmp_path):
+    blob = instantiate_on_torus(plc_n1(2)).to_json()
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(blob, torus=5)))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1 and out == "" and err.startswith("pdds verify:")
+
+
+def test_verify_instance_with_distance_256(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"torus": [512], "t": 256, "h": {"extents": [1]},
+                                "components": [[[0]]]}))
+    code, out, _ = invoke(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["pass"] is True

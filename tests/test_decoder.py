@@ -1,7 +1,9 @@
 import itertools
 import random
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdds.abelian import AbelianGroup, Homomorphism
 from pdds.constructions import (
@@ -15,6 +17,7 @@ from pdds.constructions import (
 from pdds.decoder import build_syndrome_table, decode
 from pdds.lattice import Shape, lee_distance
 from pdds.verifier import _kernel_elements, instantiate_on_torus
+from test_acceptance import CATALOG
 
 
 def brute_nearest(inst, x):
@@ -128,3 +131,172 @@ def test_decode_result_json():
     blob = decode(table, (2, 0, 0)).to_json()
     assert blob == {"device": [1, 0, 0], "component_anchor": [0, 0, 0],
                     "distance": 1}
+
+
+class LeeBallDecoder:
+    """Nearest device found by scanning the Lee ball of radius t around x.
+
+    Independent of the syndrome table: a torus vertex is in the dominating
+    set exactly when the tile vertex with the same syndrome is its own
+    device, and syndromes are recomputed here from the raw moduli and
+    generator residues.  The serving component is grown from the device over
+    set vertices adjacent on the torus.
+    """
+
+    def __init__(self, construction):
+        self.moduli = construction.hom.group.moduli
+        self.gens = construction.hom.generators
+        self.t = construction.t
+        self.periods = tuple(lcm(*(m // gcd(gj, m) for gj, m in zip(g, self.moduli)))
+                             for g in self.gens)
+        self.set_syndromes = {self.syndrome(v) for v, (_, dev)
+                              in construction.tile.labels.items() if dev == v}
+        n = len(self.gens)
+        ball = [()]
+        for _ in range(n):
+            ball = [p + (c,) for p in ball
+                    for c in range(-self.t + sum(map(abs, p)),
+                                   self.t - sum(map(abs, p)) + 1)]
+        self.ball = ball
+
+    def syndrome(self, x):
+        return tuple(sum(c * g[j] for c, g in zip(x, self.gens)) % m
+                     for j, m in enumerate(self.moduli))
+
+    def in_set(self, y):
+        return self.syndrome(y) in self.set_syndromes
+
+    def decode(self, x, dims):
+        """((device, component_anchor, distance), component wraps an axis)."""
+        xr = tuple(a % d for a, d in zip(x, dims))
+        near = {tuple((a + b) % d for a, b, d in zip(xr, off, dims))
+                for off in self.ball}
+        hits = sorted((lee_distance(xr, y, dims), y) for y in near if self.in_set(y))
+        assert hits, "no set vertex within distance t"
+        assert len(hits) == 1 or hits[0][0] < hits[1][0], "nearest vertex is not unique"
+        distance, device = hits[0]
+        comp, frontier = {device}, [device]
+        while frontier:
+            v = frontier.pop()
+            for i, d in enumerate(dims):
+                for step in (1, -1):
+                    w = v[:i] + ((v[i] + step) % d,) + v[i + 1:]
+                    if w not in comp and self.in_set(w):
+                        comp.add(w)
+                        frontier.append(w)
+        wraps = any(len({v[i] for v in comp}) < max(v[i] for v in comp)
+                    - min(v[i] for v in comp) + 1 for i in range(len(dims)))
+        return (device, min(comp), distance), wraps
+
+
+def straddle_points(construction, brute, dims):
+    """Set vertices whose component straddles the seam of some torus axis.
+
+    For a tile vertex a whose right neighbour along axis i is in the same
+    component, find a kernel element z with (a + z)_i = -1 mod d_i: then
+    a + z reduces to d_i - 1 and its neighbour to 0.  z is c * e_i plus a
+    combination w of the other axes with phi(w) = -c * g_i, found by a
+    breadth-first walk over the group.
+    """
+    out = []
+    for comp in construction.tile.components():
+        members = set(comp.vertices)
+        for a in comp.vertices:
+            for i, d in enumerate(dims):
+                if a[:i] + (a[i] + 1,) + a[i + 1:] not in members:
+                    continue
+                c = (-1 - a[i]) % d
+                target = brute.syndrome(tuple(-c if j == i else 0
+                                              for j in range(len(dims))))
+                zero = (0,) * len(dims)
+                reached = {brute.syndrome(zero): zero}
+                frontier = [zero]
+                while frontier and target not in reached:
+                    nxt = []
+                    for w in frontier:
+                        for j in range(len(dims)):
+                            if j == i:
+                                continue
+                            for step in (1, -1):
+                                u = w[:j] + (w[j] + step,) + w[j + 1:]
+                                if brute.syndrome(u) not in reached:
+                                    reached[brute.syndrome(u)] = u
+                                    nxt.append(u)
+                    frontier = nxt
+                if target in reached:
+                    w = reached[target]
+                    out.append(tuple(b + (c if j == i else 0) + aj
+                                     for j, (aj, b) in enumerate(zip(a, w))))
+                    break
+            else:
+                continue
+            break
+    return out
+
+
+def test_decode_matches_lee_ball_on_every_catalog_entry():
+    rng = random.Random(2012)
+    straddled = set()
+    for name, c in CATALOG:
+        table = build_syndrome_table(c.tile, c.hom)
+        brute = LeeBallDecoder(c)
+        for mult in (1, 2, 3):
+            torus = tuple(p * mult for p in brute.periods)
+            for x in [tuple(rng.randint(-10**4, 10**4) for _ in torus)
+                      for _ in range(8)]:
+                want, _ = brute.decode(x, torus)
+                got = decode(table, x, None if mult == 1 else torus)
+                assert tuple(got) == want, (name, x, torus)
+            for x in straddle_points(c, brute, torus):
+                want, wraps = brute.decode(x, torus)
+                assert wraps, (name, x, torus)
+                got = decode(table, x, None if mult == 1 else torus)
+                assert tuple(got) == want, (name, x, torus)
+                straddled.add(name)
+    assert len(CATALOG) == 100
+    # A serving component that straddles the seam must be reduced before its
+    # anchor is taken.  Aligned tilings such as box2xk never straddle; the
+    # other entries with multi-vertex components do.
+    assert len(straddled) >= 40, sorted(straddled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decode_equals_lee_ball_property(data):
+    name, c = data.draw(st.sampled_from(CATALOG))
+    table = build_syndrome_table(c.tile, c.hom)
+    brute = LeeBallDecoder(c)
+    mults = data.draw(st.lists(st.integers(1, 3), min_size=c.hom.dim,
+                               max_size=c.hom.dim))
+    torus = tuple(p * k for p, k in zip(brute.periods, mults))
+    x = tuple(data.draw(st.integers(-10**6, 10**6)) for _ in torus)
+    want, _ = brute.decode(x, torus)
+    assert tuple(decode(table, x, torus)) == want, (name, x, torus)
+
+
+def test_non_bijective_tile_reports_witness():
+    c = pdds1_q3()
+    verts = list(c.tile.shape.vertices)
+    # A copy of the first vertex shifted by a period shares its syndrome; the
+    # last vertex is dropped so the tile still has |G| vertices.
+    moved = tuple(verts[0][0] + 4 if i == 0 else a for i, a in enumerate(verts[0]))
+    labels = {v: (0, v) for v in verts[1:]}
+    labels[verts[0]] = labels[moved] = (0, verts[0])
+    del labels[verts[-1]]
+    collide = Tile(Shape.of(labels), labels)
+    with pytest.raises(ValueError, match=r"collision=\(\(.*\)\)") as err:
+        build_syndrome_table(collide, c.hom)
+    assert str(verts[0]) in str(err.value) and str(moved) in str(err.value)
+    short = {v: (0, v) for v in verts[:-1]}
+    with pytest.raises(ValueError, match="not_surjective") as err:
+        build_syndrome_table(Tile(Shape.of(short), short), c.hom)
+    assert "missing=(" in str(err.value)
+
+
+def test_distance_is_measured_on_the_given_torus():
+    # A device three steps from its tile vertex on a period of 2: the
+    # offset's length is 1 on the period torus but 3 on a torus of 6.
+    tile = Tile(Shape.of([(0,), (3,)]), {(0,): (0, (0,)), (3,): (0, (0,))})
+    table = build_syndrome_table(tile, Homomorphism(AbelianGroup((2,)), ((1,),)))
+    assert decode(table, (3,)) == ((0,), (0,), 1)
+    assert decode(table, (3,), (6,)) == ((0,), (0,), 3)

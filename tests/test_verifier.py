@@ -5,6 +5,7 @@ import pytest
 
 from pdds.abelian import Homomorphism, AbelianGroup, check_bijection, phi_eval
 from pdds.constructions import (
+    Construction,
     Tile,
     minkowski_p2,
     nonlattice_p2_example,
@@ -239,3 +240,40 @@ def test_minkowski_verifies_on_small_multiple_torus():
     inst = instantiate_on_torus(c)
     assert inst.torus == (38, 38, 38)
     assert len(inst.components) == inst.volume // 38
+
+
+@pytest.mark.parametrize("t", [None, "1", 1.5, True, -1])
+def test_instance_and_construction_json_reject_bad_t(t):
+    blob = instantiate_on_torus(plc_n1(2)).to_json()
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        PDDSInstance.from_json(dict(blob, t=t))
+    blob = plc_n1(2).to_json()
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        Construction.from_json(dict(blob, t=t))
+
+
+def test_json_without_t_is_rejected():
+    blob = instantiate_on_torus(plc_n1(2)).to_json()
+    del blob["t"]
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        PDDSInstance.from_json(blob)
+    blob = plc_n1(2).to_json()
+    del blob["t"]
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        Construction.from_json(blob)
+
+
+def test_verify_pdds_rejects_negative_t():
+    inst = instantiate_on_torus(plc_n1(2))
+    negative = PDDSInstance(inst.torus, -1, inst.h_spec, list(inst.components))
+    for method in ("scan", "expansion"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            verify_pdds(negative, method=method)
+
+
+@pytest.mark.parametrize("torus, t", [((600, 1), 300), ((512,), 256)])
+def test_distances_of_256_and_more_verify(torus, t):
+    inst = PDDSInstance(torus, t, BoxSpec((1,) * len(torus)),
+                        [Shape.of([(0,) * len(torus)])])
+    for method in ("scan", "expansion"):
+        assert verify_pdds(inst, method=method).passed, method
