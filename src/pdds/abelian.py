@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .lattice import Point, TorusDims
@@ -174,9 +175,34 @@ def phi_eval(hom: Homomorphism, p: Sequence[int]) -> GroupElement:
     return acc
 
 
-def kernel_member(hom: Homomorphism, p: Sequence[int]) -> bool:
-    """Whether a vertex maps to the identity."""
-    return phi_eval(hom, p) == hom.group.identity()
+SyndromeColumns = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def syndrome_columns(hom: Homomorphism) -> SyndromeColumns:
+    """Each cyclic factor's modulus with the generators' residues in it.
+
+    Factor j's residue of phi(x) is ``dot(x, column_j) % modulus_j``, which
+    is what lets :func:`syndrome_rank` rank a vertex with one dot product
+    per factor.
+    """
+    return tuple((m, tuple(g[j] for g in hom.generators))
+                 for j, m in enumerate(hom.group.moduli))
+
+
+def syndrome_rank(columns: SyndromeColumns, x: Sequence[int]) -> int:
+    """Mixed-radix rank of phi(x), i.e. ``element_rank(phi_eval(hom, x))``.
+
+    ``columns`` is :func:`syndrome_columns` of the homomorphism and x must
+    have one coordinate per generator.
+
+    >>> h = Homomorphism(AbelianGroup((2, 3)), ((1, 1), (0, 2)))
+    >>> syndrome_rank(syndrome_columns(h), (1, 1))
+    3
+    """
+    rank = 0
+    for m, col in columns:
+        rank = rank * m + sum(map(mul, x, col)) % m
+    return rank
 
 
 @dataclass(frozen=True)

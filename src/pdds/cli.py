@@ -138,7 +138,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     problem = SearchProblem(
         _ints(args.torus, "--torus"), args.t, BoxSpec(_ints(args.H, "--H")),
         "all_axis_permutations" if args.orientations == "all" else "fixed")
-    result = exact_cover_search(problem, max_cells=args.max_cells, jobs=args.jobs)
+    result = exact_cover_search(problem, max_cells=args.max_cells)
     _emit(result.dumps() + "\n", args.output)
     return 0 if result.outcome == "found" else 3
 
@@ -214,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cells", type=int, default=None,
                    help="override the torus volume cap (default 4096; "
                         "also via PDDS_MAX_CELLS)")
-    p.add_argument("--jobs", type=int, default=1)
     add_output(p)
     p.set_defaults(handler=_cmd_search)
 

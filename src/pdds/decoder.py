@@ -16,10 +16,12 @@ distance from v to its device on the period torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mod, mul, sub
+from operator import add, mod, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .abelian import Homomorphism, check_bijection, check_periods, torus_periods
+from .abelian import (Homomorphism, SyndromeColumns, check_bijection,
+                      check_periods, syndrome_columns, syndrome_rank,
+                      torus_periods)
 from .constructions import Tile
 from .lattice import Point, TorusDims
 
@@ -52,27 +54,17 @@ class SyndromeTable:
 
     ``entries[r]`` is the tile vertex whose syndrome has mixed-radix rank r
     (see ``AbelianGroup.element_rank``), with its component id and device.
-    ``columns`` pairs each cyclic factor's modulus with the generators'
-    residues in that factor, so that factor's residue of phi(x) is
-    ``dot(x, column) % modulus``.  ``components`` holds each tile
+    ``columns`` is ``abelian.syndrome_columns(hom)``, which ranks a query
+    by one dot product per cyclic factor.  ``components`` holds each tile
     component's vertices, used to report the canonical anchor of the
     component (translate) that served a query.
     """
 
     hom: Homomorphism
     periods: TorusDims
-    columns: tuple[tuple[int, tuple[int, ...]], ...]
+    columns: SyndromeColumns
     entries: list[SyndromeEntry]
     components: tuple[tuple[Point, ...], ...]
-
-
-def _syndrome_rank(columns: Iterable[tuple[int, tuple[int, ...]]],
-                   x: Sequence[int]) -> int:
-    """Mixed-radix rank of phi(x): one dot product per cyclic factor."""
-    rank = 0
-    for m, col in columns:
-        rank = rank * m + sum(map(mul, x, col)) % m
-    return rank
 
 
 def _torus_norm(offset: Iterable[int], dims: Sequence[int]) -> int:
@@ -89,11 +81,10 @@ def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
     """
     group = hom.group
     periods = torus_periods(hom)
-    columns = tuple((m, tuple(g[j] for g in hom.generators))
-                    for j, m in enumerate(group.moduli))
+    columns = syndrome_columns(hom)
     entries: list[Optional[SyndromeEntry]] = [None] * group.order
     for v in tile.shape.vertices:
-        rank = _syndrome_rank(columns, v)
+        rank = syndrome_rank(columns, v)
         if entries[rank] is not None:
             break
         cid, device = tile.labels[v]
@@ -123,7 +114,7 @@ def decode(table: SyndromeTable, x: Sequence[int],
     x = tuple(map(int, x))
     if len(x) != len(dims):
         raise ValueError(f"vertex has {len(x)} coordinates, expected {len(dims)}")
-    v, cid, device, distance = table.entries[_syndrome_rank(table.columns, x)]
+    v, cid, device, distance = table.entries[syndrome_rank(table.columns, x)]
     z = tuple(map(sub, x, v))
     # The anchor is the least vertex of the component *after* torus reduction
     # (reduction can reorder vertices, e.g. when a component straddles 0).

@@ -62,6 +62,32 @@ def reduce_point(p: Sequence[int], torus: Optional[TorusDims]) -> Point:
     return tuple(int(c) % d for c, d in zip(p, torus))
 
 
+def strides(dims: Sequence[int]) -> tuple[int, ...]:
+    """Row-major strides of a torus: flat order equals lexicographic order.
+
+    The flat index of vertex x is ``sum(x_i * s_i)``.
+
+    >>> strides((4, 3, 2))
+    (6, 2, 1)
+    """
+    out = [1] * len(dims)
+    for i in range(len(dims) - 2, -1, -1):
+        out[i] = out[i + 1] * dims[i + 1]
+    return tuple(out)
+
+
+def unflatten(flat: int, dims: Sequence[int]) -> Point:
+    """The torus vertex at a row-major flat index (inverse of the strides).
+
+    >>> unflatten(7, (4, 3, 2))
+    (1, 0, 1)
+    """
+    out = [0] * len(dims)
+    for i in range(len(dims) - 1, -1, -1):
+        flat, out[i] = divmod(flat, dims[i])
+    return tuple(out)
+
+
 def unit_vector(dim: int, axis: int) -> Point:
     """The standard basis vector e_axis (0-indexed) in Z^dim."""
     return tuple(1 if i == axis else 0 for i in range(dim))
@@ -154,9 +180,6 @@ class Shape:
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.vertices)
-
-    def __contains__(self, p: object) -> bool:
-        return p in set(self.vertices)
 
     def as_set(self) -> frozenset[Point]:
         return frozenset(self.vertices)
@@ -262,8 +285,10 @@ def is_box(shape: Shape) -> Optional[BoxSpec]:
     """Extents of the shape if it is exactly an axis-aligned box, else None.
 
     The box may be anchored anywhere: the test is that the shape fills its
-    own bounding box.  Torus vertex sets must be unwrapped to plain integer
-    coordinates before calling this (see the verifier's component lift).
+    own bounding box.  Vertices are duplicate-free, so that holds exactly
+    when their count equals the bounding box's volume.  Torus vertex sets
+    must be unwrapped to plain integer coordinates before calling this (see
+    the verifier's component lift).
 
     >>> is_box(Shape.of([(3, 1), (4, 1)]))
     BoxSpec(extents=(2, 1))
@@ -277,11 +302,4 @@ def is_box(shape: Shape) -> Optional[BoxSpec]:
     extents = tuple(h - l + 1 for l, h in zip(lows, highs))
     if prod(extents) != len(shape.vertices):
         return None
-    # Sorted and duplicate-free with the right cardinality and bounding box
-    # is already conclusive, but membership is cheap insurance against a
-    # multiset slipping in through from_json.
-    members = shape.as_set()
-    for cell in _cartesian(*(range(l, h + 1) for l, h in zip(lows, highs))):
-        if cell not in members:
-            return None
     return BoxSpec(extents)

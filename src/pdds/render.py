@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Optional, Union
 
-from .abelian import phi_eval
+from .abelian import syndrome_columns, syndrome_rank
 from .constructions import Construction
 from .lattice import Point, TorusDims, t_neighborhood
 from .verifier import PDDSInstance, instantiate_on_torus
@@ -75,9 +75,9 @@ def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
         if con is None:
             raise ValueError("group_elements labeling requires a construction "
                              "(an instance has no group structure)")
-        group = con.hom.group
+        columns = syndrome_columns(con.hom)
         for v in _cartesian(*(range(d) for d in dims)):
-            labels[v] = str(group.element_rank(phi_eval(con.hom, v)))
+            labels[v] = str(syndrome_rank(columns, v))
     elif spec.label_mode == "component_ids":
         for u, ci in comp_index.items():
             labels[u] = str(ci)

@@ -15,13 +15,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product as _cartesian
 from math import prod
-from typing import NamedTuple, Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional
 
-from .lattice import BoxSpec, Shape, box_shape, t_neighborhood, translate
+from .lattice import (BoxSpec, Shape, box_shape, check_radius, check_torus,
+                      strides, t_neighborhood, translate)
 from .verifier import PDDSInstance, verify_pdds
 
 DEFAULT_MAX_CELLS = 4096
@@ -42,14 +43,9 @@ class SearchProblem:
     orientations: str = "all_axis_permutations"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "torus", tuple(int(d) for d in self.torus))
-        if any(d < 1 for d in self.torus):
-            raise ValueError(f"torus dimensions must be positive, got {self.torus}")
-        if len(self.torus) != self.h_spec.dim:
-            raise ValueError(
-                f"torus has {len(self.torus)} axes, box has {self.h_spec.dim}")
-        if self.t < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.t}")
+        object.__setattr__(self, "torus",
+                           check_torus(self.h_spec.dim, tuple(self.torus)))
+        check_radius(self.t)
         if self.orientations not in ("all_axis_permutations", "fixed"):
             raise ValueError(f"unknown orientation mode {self.orientations!r}")
 
@@ -71,40 +67,50 @@ class SearchResult:
     instance: Optional[PDDSInstance]
     nodes_explored: int
     wall_time_ms: int
-    nodes_per_subproblem: Optional[list[int]] = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "outcome": self.outcome,
             "nodes_explored": self.nodes_explored,
             "wall_time_ms": self.wall_time_ms,
             "instance": None if self.instance is None else self.instance.to_json(),
         }
-        if self.nodes_per_subproblem is not None:
-            out["nodes_per_subproblem"] = self.nodes_per_subproblem
-        return out
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
 
 
 def _allowed_orientations(problem: SearchProblem) -> list[tuple[int, ...]]:
-    """Distinct extent orderings that fit on the torus without wrapping.
+    """Distinct extent orderings that a t-PDDS on the torus can use.
 
     An extent equal to its torus dimension (above 1) would wrap the axis
     into a ring, so the component could not be unwrapped to a grid box;
-    such orientations are dropped entirely.
+    such orientations are dropped entirely.  So are orientations whose
+    neighborhood wraps far enough that some vertex has two nearest
+    component vertices (a domino on a 3-ring at t = 1): no t-PDDS can use
+    them, and translation preserves this, so one anchor decides it.
     """
     if problem.orientations == "fixed":
         candidates = [problem.h_spec.extents]
     else:
         candidates = sorted(set(permutations(problem.h_spec.extents)))
-    out = []
-    for exts in candidates:
-        ok = all(e < d or (e == d == 1) for e, d in zip(exts, problem.torus))
-        if ok:
-            out.append(exts)
-    return out
+    dims, t = problem.torus, problem.t
+    return [exts for exts in candidates
+            if all(e < d or (e == d == 1) for e, d in zip(exts, dims))
+            and _nearest_is_unique(exts, t, dims)]
+
+
+def _nearest_is_unique(exts: tuple[int, ...], t: int,
+                       dims: tuple[int, ...]) -> bool:
+    """Does every torus vertex within t of the box have one nearest box vertex?"""
+    # Without wrap-compression (e + 2t <= d on every axis) the nearest
+    # vertex is the per-axis clamp, which is unique.
+    if all(e + 2 * t <= d for e, d in zip(exts, dims)):
+        return True
+    spec = BoxSpec(exts)
+    alone = PDDSInstance(dims, t, spec, [box_shape(spec)])
+    return all(v.kind != "ambiguous_nearest"
+               for v in verify_pdds(alone, strict_box=False).violations)
 
 
 def enumerate_placements(problem: SearchProblem) -> list[Placement]:
@@ -139,31 +145,21 @@ def _resolve_max_cells(max_cells: Optional[int]) -> int:
     return DEFAULT_MAX_CELLS
 
 
-def _flat(point: Sequence[int], strides: Sequence[int]) -> int:
-    f = 0
-    for c, s in zip(point, strides):
-        f += c * s
-    return f
-
-
-def _dfs(masks: list[int], by_vertex: list[list[int]], full: int,
-         covered: int, chosen: list[int]) -> tuple[Optional[list[int]], int]:
-    """Deterministic backtracker from a given partial cover.
+def _dfs(masks: list[int], by_vertex: list[list[int]],
+         full: int) -> tuple[Optional[list[int]], int]:
+    """Deterministic backtracker from the empty cover.
 
     Branches on the lowest uncovered vertex; placements are tried in
     canonical (index) order.  Returns (solution or None, nodes), where nodes
     counts every placement tried; the count is a pure function of the
-    problem, independent of timing or thread count.  Iterative so that deep
-    covers (thousands of small placements) cannot hit the recursion limit.
+    problem, independent of timing.  Iterative so that deep covers
+    (thousands of small placements) cannot hit the recursion limit.
     """
     nodes = 0
-    if covered == full:
-        return list(chosen), nodes
-    path = list(chosen)
-    covers = [covered]
-    v = ((~covered & full) & -(~covered & full)).bit_length() - 1
+    path: list[int] = []
+    covers = [0]
     # Each frame is [candidate placement list, cursor] for one branch vertex.
-    stack: list[list] = [[by_vertex[v], 0]]
+    stack: list[list] = [[by_vertex[0], 0]]
     while stack:
         frame = stack[-1]
         candidates, idx = frame
@@ -193,16 +189,12 @@ def _dfs(masks: list[int], by_vertex: list[list[int]], full: int,
     return None, nodes
 
 
-def exact_cover_search(problem: SearchProblem, *, max_cells: Optional[int] = None,
-                       jobs: int = 1) -> SearchResult:
+def exact_cover_search(problem: SearchProblem, *,
+                       max_cells: Optional[int] = None) -> SearchResult:
     """Decide existence of a t-PDDS[H] on the torus by exhaustive exact cover.
 
     Deterministic: node counts and any found instance depend only on the
-    problem, not on thread count.  With ``jobs > 1`` the branches of the
-    root vertex are searched in worker threads, but results are consumed in
-    canonical branch order and branches past the first solution are
-    discarded, reproducing the sequential outcome; per-branch node counts
-    are then reported in ``nodes_per_subproblem``.
+    problem.
 
     The torus volume is capped (default 4096 cells; override with the
     ``max_cells`` argument or the PDDS_MAX_CELLS environment variable) since
@@ -236,14 +228,12 @@ def exact_cover_search(problem: SearchProblem, *, max_cells: Optional[int] = Non
 
     placements = enumerate_placements(problem)
     dims = problem.torus
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
+    row_strides = strides(dims)
     masks = []
     for pl in placements:
         m = 0
         for cell in pl.cells.vertices:
-            m |= 1 << _flat(cell, strides)
+            m |= 1 << sum(map(mul, cell, row_strides))
         masks.append(m)
     by_vertex: list[list[int]] = [[] for _ in range(volume)]
     for idx, m in enumerate(masks):
@@ -254,36 +244,17 @@ def exact_cover_search(problem: SearchProblem, *, max_cells: Optional[int] = Non
             b &= b - 1
     full = (1 << volume) - 1
 
-    def finish(chosen: Optional[list[int]], nodes: int,
-               per_branch: Optional[list[int]]) -> SearchResult:
-        if chosen is None:
-            return SearchResult("exhausted", None, nodes, _elapsed_ms(), per_branch)
-        comps = sorted((placements[p].component for p in chosen),
-                       key=lambda s: s.vertices)
-        inst = PDDSInstance(dims, problem.t, problem.h_spec, comps)
-        report = verify_pdds(inst)
-        if not report.passed:
-            raise RuntimeError(
-                "internal error: exact cover produced an instance that fails "
-                f"verification: {report.to_json()['violations'][:3]}")
-        return SearchResult("found", inst, nodes, _elapsed_ms(), per_branch)
-
     # The first branch vertex is the lowest cell, i.e. the origin, so fixing
     # the first placement to one covering it is the only symmetry breaking.
-    if jobs <= 1:
-        chosen, nodes = _dfs(masks, by_vertex, full, 0, [])
-        return finish(chosen, nodes, None)
-
-    root_candidates = [p for p in by_vertex[0]]
-    per_branch: list[int] = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_dfs, masks, by_vertex, full, masks[p], [p])
-                   for p in root_candidates]
-        for fut in futures:
-            sol, nodes = fut.result()
-            per_branch.append(nodes + 1)     # +1: trying the root placement
-            if sol is not None:
-                for later in futures:
-                    later.cancel()
-                return finish(sol, sum(per_branch), per_branch)
-    return finish(None, sum(per_branch), per_branch)
+    chosen, nodes = _dfs(masks, by_vertex, full)
+    if chosen is None:
+        return SearchResult("exhausted", None, nodes, _elapsed_ms())
+    comps = sorted((placements[p].component for p in chosen),
+                   key=lambda s: s.vertices)
+    inst = PDDSInstance(dims, problem.t, problem.h_spec, comps)
+    report = verify_pdds(inst)
+    if not report.passed:
+        raise RuntimeError(
+            "internal error: exact cover produced an instance that fails "
+            f"verification: {report.to_json()['violations'][:3]}")
+    return SearchResult("found", inst, nodes, _elapsed_ms())

@@ -25,10 +25,11 @@ from itertools import product as _cartesian
 from math import prod
 from typing import Iterator, Optional, Sequence
 
-from .abelian import Homomorphism, check_periods, phi_eval, torus_periods
+from .abelian import (Homomorphism, check_periods, syndrome_columns,
+                      syndrome_rank, torus_periods)
 from .constructions import Construction, Tile
-from .lattice import (BoxSpec, Point, Shape, check_radius, is_box,
-                      lee_distance, reduce_point, unit_vector)
+from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus, is_box,
+                      lee_distance, strides, unflatten)
 
 
 @dataclass
@@ -58,9 +59,7 @@ class PDDSInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PDDSInstance":
-        torus = tuple(int(d) for d in obj["torus"])
-        if any(d < 1 for d in torus):
-            raise ValueError(f"torus dimensions must be positive, got {torus}")
+        torus = check_torus(len(obj["torus"]), obj["torus"])
         comps = [Shape.of((tuple(v) for v in comp), dim=len(torus))
                  for comp in obj["components"]]
         comps.sort(key=lambda s: s.vertices)
@@ -98,23 +97,8 @@ class VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# Flat indexing and syndrome iteration over a torus.
+# Syndrome iteration over a torus.
 # --------------------------------------------------------------------------
-
-def _strides(dims: Sequence[int]) -> tuple[int, ...]:
-    """Row-major strides: flat order equals lexicographic vertex order."""
-    out = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        out[i] = out[i + 1] * dims[i + 1]
-    return tuple(out)
-
-
-def _unflatten(idx: int, dims: Sequence[int]) -> Point:
-    out = [0] * len(dims)
-    for i in range(len(dims) - 1, -1, -1):
-        idx, out[i] = divmod(idx, dims[i])
-    return tuple(out)
-
 
 def _kernel_elements(hom: Homomorphism, dims: tuple[int, ...]) -> Iterator[Point]:
     """All torus vertices mapping to the identity, in lexicographic order.
@@ -164,21 +148,21 @@ def instantiate_on_torus(construction: Construction,
     deduplicated and canonically ordered.
     """
     hom = construction.hom
-    group = hom.group
     periods = torus_periods(hom)
     dims = periods if torus is None else check_periods(periods, torus)
 
     # The inverse syndrome map doubles as a corruption check: a tile that no
     # longer maps bijectively cannot tile anything.
+    columns = syndrome_columns(hom)
     seen: dict[int, Point] = {}
     for v in construction.tile.shape.vertices:
-        r = group.element_rank(phi_eval(hom, v))
+        r = syndrome_rank(columns, v)
         if r in seen:
             raise ValueError(f"construction corrupt: {seen[r]} and {v} share a syndrome")
         seen[r] = v
-    if len(seen) != group.order:
+    if len(seen) != hom.group.order:
         raise ValueError(f"construction corrupt: tile covers {len(seen)} of "
-                         f"{group.order} syndromes")
+                         f"{hom.group.order} syndromes")
 
     comp_vertex_lists = [comp.vertices for comp in construction.tile.components()]
     placed: set[frozenset[Point]] = set()
@@ -198,33 +182,17 @@ def instantiate_on_torus(construction: Construction,
 def _circular_offsets(dims: tuple[int, ...], t: int) -> list[tuple[Point, int]]:
     """Distinct torus offsets within distance t, with their circular distance.
 
-    Generated by reducing the infinite-grid Lee ball of radius t modulo the
-    torus; on small tori several grid offsets collapse to one torus offset,
-    which must be deduplicated so nearest-vertex counts stay correct.
+    Built axis by axis, in lexicographic order, from the residues r whose
+    circular distance min(r, d - r) fits in the budget the earlier axes
+    left, so each torus offset appears once and the work is bounded by the
+    torus, not by the grid Lee ball of radius t.
     """
-    n = len(dims)
-    out: dict[Point, int] = {}
-    frontier = {(0,) * n}
-    ball = {(0,) * n}
-    out[reduce_point((0,) * n, dims)] = 0
-    for _ in range(t):
-        nxt = set()
-        for v in frontier:
-            for i in range(n):
-                for step in (1, -1):
-                    w = list(v)
-                    w[i] += step
-                    w = tuple(w)
-                    if w not in ball:
-                        ball.add(w)
-                        nxt.add(w)
-        frontier = nxt
-    for delta in ball:
-        circ = sum(min(c % d, d - c % d) for c, d in zip(delta, dims))
-        red = reduce_point(delta, dims)
-        if red not in out or circ < out[red]:
-            out[red] = circ
-    return sorted(out.items())
+    out: list[tuple[Point, int]] = [((), 0)]
+    for d in dims:
+        axis = [(r, min(r, d - r)) for r in range(d) if min(r, d - r) <= t]
+        out = [(delta + (r,), dist + c) for delta, dist in out
+               for r, c in axis if dist + c <= t]
+    return out
 
 
 def _lift_component(comp: Shape, dims: tuple[int, ...]) -> Optional[Shape]:
@@ -332,7 +300,7 @@ def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
     dims = inst.torus
     n = len(dims)
     volume = inst.volume
-    strides = _strides(dims)
+    row_strides = strides(dims)
     offsets = _circular_offsets(dims, inst.t)
 
     cover = bytearray(volume)          # 0, 1, or 2 components saturating
@@ -345,7 +313,7 @@ def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
         for w in comp.vertices:
             for delta, d in offsets:
                 flat = 0
-                for a, b, dim, s in zip(w, delta, dims, strides):
+                for a, b, dim, s in zip(w, delta, dims, row_strides):
                     flat += ((a + b) % dim) * s
                 entry = local.get(flat)
                 if entry is None:
@@ -371,7 +339,7 @@ def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
         state = cover[flat]
         if state == 1 and count_of[flat] == 1:
             continue
-        x = _unflatten(flat, dims)
+        x = unflatten(flat, dims)
         if state == 0:
             violations.append(Violation(
                 x, "uncovered", f"no component within distance {inst.t}"))
@@ -391,18 +359,18 @@ def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
 
 
 def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True,
-                method: str = "auto") -> VerificationReport:
+                method: str = "expansion") -> VerificationReport:
     """Check the perfect domination property vertex by vertex.
 
     Reports every violating vertex in canonical order, classified as
     uncovered / multi_component / ambiguous_nearest, plus (under
     ``strict_box``, the default) component_not_box for components that do
     not induce an axis-aligned box.  ``method`` selects the code path:
-    "expansion" (component neighborhoods outward; the default under "auto"),
-    or "scan" (the brute-force reference).  The report passes exactly when
+    "expansion" (component neighborhoods outward; the default) or "scan"
+    (the brute-force reference).  The report passes exactly when
     no violations are found.
     """
-    if method not in ("auto", "expansion", "scan"):
+    if method not in ("expansion", "scan"):
         raise ValueError(f"unknown method {method!r}")
     check_radius(inst.t)
     for comp in inst.components:
@@ -432,13 +400,13 @@ def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
     tile_verts = tile.shape.vertices
     if not tile_verts or volume % len(tile_verts):
         return False
-    strides = _strides(dims)
+    row_strides = strides(dims)
     covered = bytearray(volume)
     total = 0
     for z in _kernel_elements(hom, dims):
         for v in tile_verts:
             flat = 0
-            for a, b, dim, s in zip(v, z, dims, strides):
+            for a, b, dim, s in zip(v, z, dims, row_strides):
                 flat += ((a + b) % dim) * s
             if covered[flat]:
                 return False

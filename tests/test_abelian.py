@@ -8,10 +8,11 @@ from pdds.abelian import (
     Homomorphism,
     check_bijection,
     enumerate_abelian_groups,
-    kernel_member,
     molnar_k_set,
     phi_eval,
     smith_quotient,
+    syndrome_columns,
+    syndrome_rank,
     torus_periods,
 )
 
@@ -84,8 +85,19 @@ def test_homomorphism_eval_and_kernel():
     assert phi_eval(hom, (3, 2)) == (0,)
     assert phi_eval(hom, (-2, 3)) == (0,)
     assert phi_eval(hom, (1, 1)) == (6,)
-    assert kernel_member(hom, (3, 2))
-    assert not kernel_member(hom, (1, 0))
+
+
+def test_syndrome_rank_is_the_rank_of_phi():
+    rng = random.Random(3011)
+    for _ in range(200):
+        group = AbelianGroup(tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 3))))
+        n = rng.randint(1, 3)
+        hom = Homomorphism(group, tuple(
+            tuple(rng.randrange(m) for m in group.moduli) for _ in range(n)))
+        columns = syndrome_columns(hom)
+        for _ in range(5):
+            x = tuple(rng.randint(-50, 50) for _ in range(n))
+            assert syndrome_rank(columns, x) == group.element_rank(phi_eval(hom, x))
 
 
 def test_homomorphism_json_round_trip():

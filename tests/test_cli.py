@@ -127,15 +127,6 @@ def test_search_command_exit_codes(capsys):
     assert code == 1 and "cap" in err
 
 
-def test_search_jobs_flag(capsys):
-    code, out, _ = invoke(capsys, "search", "--torus", "4,4", "--t", "0",
-                          "--H", "2,1", "--jobs", "3")
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["outcome"] == "found"
-    assert sum(blob["nodes_per_subproblem"]) == blob["nodes_explored"]
-
-
 def test_render_command(capsys, tmp_path):
     path = tmp_path / "sq0.json"
     invoke(capsys, "construct", "--family", "square", "--k", "0",

@@ -10,8 +10,10 @@ from pdds.lattice import (
     components_of,
     is_box,
     lee_distance,
+    strides,
     t_neighborhood,
     translate,
+    unflatten,
 )
 
 
@@ -144,3 +146,12 @@ def test_is_box_accepts_boxes_rejects_others():
     assert is_box(ell) is None
     gapped = Shape.of([(0, 0), (2, 0)])
     assert is_box(gapped) is None
+
+
+def test_flat_index_is_lexicographic_order():
+    for dims in ((1,), (5,), (3, 1), (2, 3, 4), (1, 2, 1, 3)):
+        row_strides = strides(dims)
+        points = list(itertools.product(*(range(d) for d in dims)))
+        for flat, p in enumerate(points):
+            assert unflatten(flat, dims) == p
+            assert sum(c * s for c, s in zip(p, row_strides)) == flat

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdds.constructions import pdds1_square, plc_n1
 from pdds.lattice import BoxSpec
@@ -11,7 +13,7 @@ from pdds.search import (
     enumerate_placements,
     exact_cover_search,
 )
-from pdds.verifier import instantiate_on_torus, verify_pdds
+from pdds.verifier import PDDSInstance, instantiate_on_torus, verify_pdds
 
 
 def test_problem_validation():
@@ -23,6 +25,14 @@ def test_problem_validation():
         SearchProblem((5, 5), 1, BoxSpec((1, 1, 1)))
     with pytest.raises(ValueError):
         SearchProblem((5, 5), 1, BoxSpec((1, 1)), "sideways")
+
+
+@pytest.mark.parametrize("t", [1.5, True, None])
+def test_problem_rejects_non_integer_radius(t):
+    # 1.5 used to fail later inside the search, True to run the whole
+    # search, and None to raise TypeError
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        SearchProblem((5, 5), t, BoxSpec((1, 1)))
 
 
 def test_placement_counts():
@@ -84,6 +94,20 @@ def test_divisibility_shortcut_and_its_gate():
     assert line.outcome == "exhausted" and line.nodes_explored == 0
 
 
+def test_orientation_with_two_nearest_vertices_is_dropped():
+    # on a 3-ring the vertex opposite a domino is 1 from both its ends, so
+    # no 1-PDDS of dominoes exists; this used to raise RuntimeError after
+    # the exact cover "found" one
+    ring = SearchProblem((3,), 1, BoxSpec((2,)))
+    assert enumerate_placements(ring) == []
+    assert exact_cover_search(ring).outcome == "exhausted"
+    # on (3, 5) only the orientation along the 5-axis survives
+    wide = SearchProblem((3, 5), 1, BoxSpec((2, 1)))
+    placements = enumerate_placements(wide)
+    assert len(placements) == 15
+    assert all(u[0] == v[0] for u, v in (p.component.vertices for p in placements))
+
+
 def test_exhaustion_with_real_branching():
     # volume divisible by ball size, yet no perfect code exists on (5,3)
     result = exact_cover_search(SearchProblem((5, 3), 1, BoxSpec((1, 1))))
@@ -103,25 +127,6 @@ def test_deep_cover_of_singletons():
     result = exact_cover_search(SearchProblem((8, 8), 0, BoxSpec((1, 1))))
     assert result.outcome == "found"
     assert result.nodes_explored == 64
-
-
-def test_parallel_mode_is_deterministic():
-    problems = [
-        SearchProblem((5, 5), 1, BoxSpec((1, 1))),
-        SearchProblem((5, 3), 1, BoxSpec((1, 1))),
-        SearchProblem((4, 4), 0, BoxSpec((2, 1))),
-        SearchProblem((6, 7), 1, BoxSpec((3, 3))),
-    ]
-    for problem in problems:
-        runs = [exact_cover_search(problem, jobs=j) for j in (1, 2, 4)]
-        assert len({r.outcome for r in runs}) == 1
-        assert len({r.nodes_explored for r in runs}) == 1
-        instances = [None if r.instance is None else r.instance.to_json()
-                     for r in runs]
-        assert all(i == instances[0] for i in instances)
-        for r in runs[1:]:
-            assert r.nodes_per_subproblem is not None
-            assert sum(r.nodes_per_subproblem) == r.nodes_explored
 
 
 def test_found_instances_verify_under_fuzzing():
@@ -177,3 +182,21 @@ def test_search_result_json_shape():
     assert blob["instance"]["torus"] == [5, 5]
     empty = exact_cover_search(SearchProblem((7, 7), 1, BoxSpec((3, 3))))
     assert empty.to_json()["instance"] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_search_result_json_round_trip(data):
+    n = data.draw(st.integers(1, 2))
+    dims = tuple(data.draw(st.integers(1, 6)) for _ in range(n))
+    extents = tuple(data.draw(st.integers(1, 2)) for _ in range(n))
+    result = exact_cover_search(
+        SearchProblem(dims, data.draw(st.integers(0, 2)), BoxSpec(extents)))
+    blob = json.loads(result.dumps())
+    assert blob == result.to_json()
+    assert (blob["outcome"], blob["nodes_explored"], blob["wall_time_ms"]) == (
+        result.outcome, result.nodes_explored, result.wall_time_ms)
+    if result.instance is None:
+        assert blob["instance"] is None
+    else:
+        assert PDDSInstance.from_json(blob["instance"]) == result.instance

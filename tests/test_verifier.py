@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdds.abelian import Homomorphism, AbelianGroup, check_bijection, phi_eval
 from pdds.constructions import (
@@ -19,6 +20,7 @@ from pdds.constructions import (
 from pdds.lattice import BoxSpec, Shape, box_shape, translate
 from pdds.verifier import (
     PDDSInstance,
+    _circular_offsets,
     _kernel_elements,
     instantiate_on_torus,
     is_lattice_like,
@@ -277,3 +279,53 @@ def test_distances_of_256_and_more_verify(torus, t):
                         [Shape.of([(0,) * len(torus)])])
     for method in ("scan", "expansion"):
         assert verify_pdds(inst, method=method).passed, method
+
+
+@pytest.mark.parametrize("dims, t", [
+    ((5,), 0), ((5,), 2), ((5,), 3), ((6,), 3), ((2,), 1), ((1,), 4),
+    ((1, 7), 3), ((2, 2), 1), ((2, 2), 2), ((4, 3), 2), ((3, 1, 2), 5),
+    ((6, 6), 4), ((3, 4, 5), 1), ((600, 1), 300),
+])
+def test_circular_offsets_match_every_torus_vertex(dims, t):
+    want = []
+    for x in itertools.product(*(range(d) for d in dims)):
+        dist = sum(min(c, d - c) for c, d in zip(x, dims))
+        if dist <= t:
+            want.append((x, dist))
+    assert _circular_offsets(dims, t) == want
+
+
+@st.composite
+def small_instances(draw):
+    """Random component sets on tori of at most 36 vertices.
+
+    Mixes box translates of one extent, which often pass, with arbitrary
+    vertex sets, which exercise every violation kind.
+    """
+    n = draw(st.integers(1, 2))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n))
+    t = draw(st.integers(0, 3))
+    spec = BoxSpec(tuple(draw(st.integers(1, 2)) for _ in range(n)))
+    vertex = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    comps = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            comps.append(translate(box_shape(spec), draw(vertex), dims))
+        else:
+            comps.append(Shape.of(draw(st.lists(vertex, min_size=1, max_size=4))))
+    comps.sort(key=lambda s: s.vertices)
+    return PDDSInstance(dims, t, spec, comps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_scan_equals_expansion_on_random_instances(inst):
+    by_scan = verify_pdds(inst, method="scan")
+    by_exp = verify_pdds(inst, method="expansion")
+    assert by_scan.to_json() == by_exp.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_instance_json_round_trip(inst):
+    assert PDDSInstance.loads(inst.dumps()) == inst
