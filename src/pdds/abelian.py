@@ -25,7 +25,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .lattice import Point, TorusDims
+from .lattice import Point, TorusDims, check_torus, is_int
 
 GroupElement = tuple[int, ...]
 
@@ -42,9 +42,9 @@ class AbelianGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
-        if any(m < 1 for m in self.moduli):
-            raise ValueError(f"moduli must be positive, got {self.moduli}")
+        object.__setattr__(self, "moduli", tuple(self.moduli))
+        if not all(is_int(m) and m >= 1 for m in self.moduli):
+            raise ValueError(f"moduli must be positive integers, got {self.moduli}")
 
     @property
     def rank(self) -> int:
@@ -263,7 +263,7 @@ def torus_periods(hom: Homomorphism) -> TorusDims:
 
 
 def check_periods(periods: TorusDims, dims: Sequence[int]) -> TorusDims:
-    """Torus dims as ints, checked to be positive multiples of the periods.
+    """Torus dims (checked by ``check_torus``) that are multiples of the periods.
 
     ``periods`` is :func:`torus_periods` of a homomorphism.  Axis i
     satisfies d_i * g_i = 0 exactly when the order of g_i divides d_i, so
@@ -273,12 +273,9 @@ def check_periods(periods: TorusDims, dims: Sequence[int]) -> TorusDims:
     >>> check_periods((4, 2), (8, 2))
     (8, 2)
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != len(periods):
-        raise ValueError(
-            f"torus has {len(dims)} axes, homomorphism has {len(periods)}")
+    dims = check_torus(len(periods), dims)
     for i, (d, p) in enumerate(zip(dims, periods)):
-        if d < 1 or d % p:
+        if d % p:
             raise ValueError(
                 f"torus axis {i + 1} ({d}) is not a period of the homomorphism; "
                 f"periods are {periods}")

@@ -212,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="box extents of the component graph")
     p.add_argument("--orientations", choices=("all", "fixed"), default="all")
     p.add_argument("--max-cells", type=int, default=None,
-                   help="override the torus volume cap (default 4096; "
-                        "also via PDDS_MAX_CELLS)")
+                   help="override the torus volume cap (default 4096)")
     add_output(p)
     p.set_defaults(handler=_cmd_search)
 

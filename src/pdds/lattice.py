@@ -32,16 +32,22 @@ def check_torus(dim: int, torus: Optional[TorusDims]) -> Optional[TorusDims]:
     """Validate torus dimensions against a vertex dimension.
 
     Returns the dims as a tuple, or None for the infinite grid.  Raises
-    ValueError on a length mismatch or a non-positive modulus.
+    ValueError on a length mismatch or a modulus that is not a positive int
+    (bools and fractions included).
     """
     if torus is None:
         return None
-    dims = tuple(int(d) for d in torus)
+    dims = tuple(torus)
     if len(dims) != dim:
         raise ValueError(f"torus has {len(dims)} axes, vertices have {dim}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"torus dimensions must be positive, got {dims}")
+    if not all(is_int(d) and d >= 1 for d in dims):
+        raise ValueError(f"torus dimensions must be positive integers, got {dims}")
     return dims
+
+
+def is_int(x: object) -> bool:
+    """Is x an int and not a bool (so not 1.5, True or None)?"""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def check_radius(t: object) -> int:
@@ -50,7 +56,7 @@ def check_radius(t: object) -> int:
     Raises ValueError for anything else, including a missing (None),
     boolean, fractional or negative value.
     """
-    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+    if not is_int(t) or t < 0:
         raise ValueError(f"t must be a nonnegative integer, got {t!r}")
     return t
 
@@ -123,15 +129,15 @@ class BoxSpec:
 
     The box anchored at the origin is {0..k_1-1} x ... x {0..k_n-1}; it
     induces a Cartesian product of paths P_{k_1} x ... x P_{k_n} in the grid
-    graph.  Extents must be positive.
+    graph.  Extents must be positive ints.
     """
 
     extents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "extents", tuple(int(k) for k in self.extents))
-        if not self.extents or any(k < 1 for k in self.extents):
-            raise ValueError(f"box extents must be positive, got {self.extents}")
+        object.__setattr__(self, "extents", tuple(self.extents))
+        if not self.extents or not all(is_int(k) and k >= 1 for k in self.extents):
+            raise ValueError(f"box extents must be positive integers, got {self.extents}")
 
     @property
     def dim(self) -> int:
@@ -287,8 +293,8 @@ def is_box(shape: Shape) -> Optional[BoxSpec]:
     The box may be anchored anywhere: the test is that the shape fills its
     own bounding box.  Vertices are duplicate-free, so that holds exactly
     when their count equals the bounding box's volume.  Torus vertex sets
-    must be unwrapped to plain integer coordinates before calling this (see
-    the verifier's component lift).
+    need a check that allows wrap-around instead (the verifier checks each
+    axis for one cyclic interval).
 
     >>> is_box(Shape.of([(3, 1), (4, 1)]))
     BoxSpec(extents=(2, 1))

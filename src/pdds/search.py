@@ -3,30 +3,29 @@
 The defining property partitions the torus into the t-neighborhoods of the
 components, so existence of a t-PDDS[H] is an exact-cover question: choose
 box placements whose neighborhoods tile the vertex set.  The search
-enumerates every allowed placement, then runs a deterministic destructive
-backtracker over bit-vector cell sets, always branching on the lowest
-uncovered vertex in canonical order.  A "found" result carries a verified
-instance; "exhausted" means the enumeration completed and is a proof of
-nonexistence on that torus (for the given orientation set).
+enumerates every allowed placement as flat torus indices, then runs a
+deterministic destructive backtracker over bit-vector cell sets, always
+branching on the lowest uncovered vertex in canonical order.  A "found"
+result carries a verified instance; "exhausted" means the enumeration
+completed and is a proof of nonexistence on that torus (for the given
+orientation set).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
-from itertools import permutations, product as _cartesian
+from itertools import permutations
 from math import prod
-from operator import mul
-from typing import NamedTuple, Optional
+from operator import add
+from typing import NamedTuple, Optional, Sequence
 
-from .lattice import (BoxSpec, Shape, box_shape, check_radius, check_torus,
-                      strides, t_neighborhood, translate)
+from .lattice import (BoxSpec, Point, Shape, box_shape, check_radius,
+                      check_torus, strides, t_neighborhood, unflatten)
 from .verifier import PDDSInstance, verify_pdds
 
 DEFAULT_MAX_CELLS = 4096
-MAX_CELLS_ENV = "PDDS_MAX_CELLS"
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,14 @@ class SearchProblem:
 
 
 class Placement(NamedTuple):
-    """One candidate component and the cell set its neighborhood claims."""
+    """One candidate component and the cell set its neighborhood claims.
 
-    cells: Shape
-    component: Shape
+    Both are sorted tuples of row-major flat torus indices
+    (``lattice.strides``), so flat order is lexicographic vertex order.
+    """
+
+    cells: tuple[int, ...]
+    component: tuple[int, ...]
 
 
 @dataclass
@@ -84,8 +87,8 @@ def _allowed_orientations(problem: SearchProblem) -> list[tuple[int, ...]]:
     """Distinct extent orderings that a t-PDDS on the torus can use.
 
     An extent equal to its torus dimension (above 1) would wrap the axis
-    into a ring, so the component could not be unwrapped to a grid box;
-    such orientations are dropped entirely.  So are orientations whose
+    into a full ring, which is not a box translate on the torus; such
+    orientations are dropped entirely.  So are orientations whose
     neighborhood wraps far enough that some vertex has two nearest
     component vertices (a domino on a 3-ring at t = 1): no t-PDDS can use
     them, and translation preserves this, so one anchor decides it.
@@ -113,36 +116,36 @@ def _nearest_is_unique(exts: tuple[int, ...], t: int,
                for v in verify_pdds(alone, strict_box=False).violations)
 
 
+def _shifted(verts: Sequence[Point], dims: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Sorted flat indices of the vertex set shifted to every torus anchor.
+
+    Anchors come in lexicographic order; each axis adds its shifted
+    coordinate times its stride, so no vertex tuple is built.
+    """
+    out = [[0] * len(verts)]
+    for i, (d, s) in enumerate(zip(dims, strides(dims))):
+        cols = [[(v[i] + a) % d * s for v in verts] for a in range(d)]
+        out = [list(map(add, flats, col)) for flats in out for col in cols]
+    return [tuple(sorted(flats)) for flats in out]
+
+
 def enumerate_placements(problem: SearchProblem) -> list[Placement]:
     """Every allowed (cells, component) pair, deduplicated, in canonical order.
 
     Components are box translates over all torus anchors and allowed
-    orientations; cells are their t-neighborhoods on the torus.  Each
-    placement appears once, ordered by (cells, component).
+    orientations; cells are their t-neighborhoods on the torus.  Torus
+    translation commutes with taking neighborhoods, so each orientation's
+    box and neighborhood are built once and shifted.  Each placement
+    appears once, ordered by (cells, component).
     """
     dims = problem.torus
-    seen = set()
-    out: list[Placement] = []
+    found = set()
     for exts in _allowed_orientations(problem):
-        base = box_shape(BoxSpec(exts))
-        for anchor in _cartesian(*(range(d) for d in dims)):
-            comp = translate(base, anchor, dims)
-            cells = t_neighborhood(comp, problem.t, dims)
-            key = (cells.vertices, comp.vertices)
-            if key not in seen:
-                seen.add(key)
-                out.append(Placement(cells, comp))
-    out.sort(key=lambda p: (p.cells.vertices, p.component.vertices))
-    return out
-
-
-def _resolve_max_cells(max_cells: Optional[int]) -> int:
-    if max_cells is not None:
-        return int(max_cells)
-    env = os.environ.get(MAX_CELLS_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_CELLS
+        box = box_shape(BoxSpec(exts))
+        cells = t_neighborhood(box, problem.t, dims)
+        found.update(zip(_shifted(cells.vertices, dims),
+                         _shifted(box.vertices, dims)))
+    return [Placement(*p) for p in sorted(found)]
 
 
 def _dfs(masks: list[int], by_vertex: list[list[int]],
@@ -197,8 +200,8 @@ def exact_cover_search(problem: SearchProblem, *,
     problem.
 
     The torus volume is capped (default 4096 cells; override with the
-    ``max_cells`` argument or the PDDS_MAX_CELLS environment variable) since
-    the cell bit-vectors and the exhaustive tree grow with volume.
+    ``max_cells`` argument) since the cell bit-vectors and the exhaustive
+    tree grow with volume.
 
     A found instance is re-verified before being returned.  When the
     neighborhood size |H*| does not divide the torus volume — and no allowed
@@ -208,12 +211,11 @@ def exact_cover_search(problem: SearchProblem, *,
     """
     start = time.perf_counter()
     volume = problem.volume
-    cap = _resolve_max_cells(max_cells)
+    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     if volume > cap:
         raise ValueError(
             f"torus volume {volume} exceeds the cell cap {cap}; raise it via "
-            f"max_cells or the {MAX_CELLS_ENV} environment variable if you "
-            f"really want an exhaustive search this large")
+            f"max_cells if you really want an exhaustive search this large")
 
     def _elapsed_ms() -> int:
         return int((time.perf_counter() - start) * 1000)
@@ -227,21 +229,11 @@ def exact_cover_search(problem: SearchProblem, *,
         return SearchResult("exhausted", None, 0, _elapsed_ms())
 
     placements = enumerate_placements(problem)
-    dims = problem.torus
-    row_strides = strides(dims)
-    masks = []
-    for pl in placements:
-        m = 0
-        for cell in pl.cells.vertices:
-            m |= 1 << sum(map(mul, cell, row_strides))
-        masks.append(m)
+    masks = [sum(1 << c for c in pl.cells) for pl in placements]
     by_vertex: list[list[int]] = [[] for _ in range(volume)]
-    for idx, m in enumerate(masks):
-        b = m
-        while b:
-            low = b & -b
-            by_vertex[low.bit_length() - 1].append(idx)
-            b &= b - 1
+    for idx, pl in enumerate(placements):
+        for c in pl.cells:
+            by_vertex[c].append(idx)
     full = (1 << volume) - 1
 
     # The first branch vertex is the lowest cell, i.e. the origin, so fixing
@@ -249,8 +241,9 @@ def exact_cover_search(problem: SearchProblem, *,
     chosen, nodes = _dfs(masks, by_vertex, full)
     if chosen is None:
         return SearchResult("exhausted", None, nodes, _elapsed_ms())
-    comps = sorted((placements[p].component for p in chosen),
-                   key=lambda s: s.vertices)
+    dims = problem.torus
+    comps = [Shape.of((unflatten(c, dims) for c in flats), dim=len(dims))
+             for flats in sorted(placements[p].component for p in chosen)]
     inst = PDDSInstance(dims, problem.t, problem.h_spec, comps)
     report = verify_pdds(inst)
     if not report.passed:

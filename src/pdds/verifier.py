@@ -9,7 +9,7 @@ vertex:
 
   * every vertex is within distance t of exactly one component, and
   * within that component it has a unique nearest vertex (its device), and
-  * every component is an axis-aligned box (unwrapped on the torus).
+  * every component is an axis-aligned box (a translate of one on the torus).
 
 Verification has two independent code paths — a plain scan over all
 (vertex, component) pairs and a neighborhood expansion outward from each
@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Sequence
 from .abelian import (Homomorphism, check_periods, syndrome_columns,
                       syndrome_rank, torus_periods)
 from .constructions import Construction, Tile
-from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus, is_box,
+from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus,
                       lee_distance, strides, unflatten)
 
 
@@ -195,58 +195,39 @@ def _circular_offsets(dims: tuple[int, ...], t: int) -> list[tuple[Point, int]]:
     return out
 
 
-def _lift_component(comp: Shape, dims: tuple[int, ...]) -> Optional[Shape]:
-    """Unwrap a torus component to plain grid coordinates, if possible.
+def _box_extents(comp: Shape, dims: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Extents of the torus vertex set if it is a translate of a box, else None.
 
-    Walks the component's induced torus subgraph assigning consistent
-    integer coordinates.  Returns None when the walk is inconsistent (the
-    component wraps an axis into a cycle) or does not reach every vertex
-    (the set is disconnected) — neither can be a box.
+    Coordinates are reduced mod the torus first, as JSON input need not be.
+    On each axis of length d > 1 they must then form one cyclic interval
+    shorter than the axis: exactly one coordinate c has c - 1 (mod d)
+    absent, which rejects gaps and full rings alike.  The set is then inside
+    the box of those intervals, and equals it exactly when its size is the
+    box's volume (two vertices equal mod the torus make it too large).
     """
-    members = comp.as_set()
-    seed = comp.vertices[0]
-    lifted: dict[Point, Point] = {seed: seed}
-    frontier = [seed]
-    while frontier:
-        v = frontier.pop()
-        lift_v = lifted[v]
-        for i in range(len(dims)):
-            for step in (1, -1):
-                w = list(v)
-                w[i] = (w[i] + step) % dims[i]
-                w = tuple(w)
-                # On an axis of length 1 the step is a self-loop, not an edge.
-                if w not in members or w == v:
-                    continue
-                cand = list(lift_v)
-                cand[i] += step
-                cand = tuple(cand)
-                if w in lifted:
-                    if lifted[w] != cand:
-                        return None
-                else:
-                    lifted[w] = cand
-                    frontier.append(w)
-    if len(lifted) != len(members):
-        return None
-    return Shape.of(lifted.values(), dim=comp.dim)
+    extents = []
+    for i, d in enumerate(dims):
+        coords = {v[i] % d for v in comp.vertices}
+        if d > 1 and sum((c - 1) % d not in coords for c in coords) != 1:
+            return None
+        extents.append(len(coords))
+    return tuple(extents) if prod(extents) == len(comp) else None
 
 
 def _box_violations(inst: PDDSInstance) -> list[Violation]:
     want = tuple(sorted(inst.h_spec.extents))
     out = []
     for cid, comp in enumerate(inst.components):
-        lifted = _lift_component(comp, inst.torus)
-        spec = None if lifted is None else is_box(lifted)
-        if spec is None:
+        extents = _box_extents(comp, inst.torus)
+        if extents is None:
             out.append(Violation(
                 comp.vertices[0], "component_not_box",
                 f"component {cid} ({len(comp)} vertices) does not induce an "
                 f"axis-aligned box on the torus"))
-        elif tuple(sorted(spec.extents)) != want:
+        elif tuple(sorted(extents)) != want:
             out.append(Violation(
                 comp.vertices[0], "component_not_box",
-                f"component {cid} is a box of extents {spec.extents}, not an "
+                f"component {cid} is a box of extents {extents}, not an "
                 f"axis permutation of {inst.h_spec.extents}"))
     return out
 

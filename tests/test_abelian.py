@@ -31,6 +31,13 @@ def test_group_arithmetic_exhaustive_z2xz4():
     assert [g.element_rank(a) for a in els] == list(range(8))
 
 
+@pytest.mark.parametrize("moduli", [(5.7,), (5.0,), (True,), (3, "4")])
+def test_group_rejects_non_integer_moduli(moduli):
+    # (5.7,) used to become Z5
+    with pytest.raises(ValueError, match="positive integers"):
+        AbelianGroup(moduli)
+
+
 def test_scale_matches_repeated_addition():
     g = AbelianGroup((6,))
     x = (5,)

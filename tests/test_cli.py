@@ -78,6 +78,18 @@ def test_verify_strict_box_flag(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("ring", [[[0], [1], [2]], [[0], [1], [5]]])
+def test_verify_rejects_full_ring_written_unreduced(capsys, tmp_path, ring):
+    # 5 = 2 mod 3: both components are the whole 3-ring, not a box translate.
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"torus": [3], "t": 0, "h": {"extents": [3]},
+                                "components": [ring]}))
+    code, out, _ = invoke(capsys, "verify", str(path))
+    assert code == 1
+    kinds = {v["kind"] for v in json.loads(out)["violations"]}
+    assert kinds == {"component_not_box"}
+
+
 def test_construct_parameter_errors(capsys):
     code, _, err = invoke(capsys, "construct", "--family", "path")
     assert code == 2
@@ -183,6 +195,17 @@ def test_mistyped_json_field_exits_one(capsys, tmp_path):
     path.write_text(json.dumps(dict(blob, torus=5)))
     code, out, err = invoke(capsys, "verify", str(path))
     assert code == 1 and out == "" and err.startswith("pdds verify:")
+
+
+def test_verify_rejects_fractional_torus_without_traceback(capsys, tmp_path):
+    # used to load as (5, 5) and report a pass
+    blob = instantiate_on_torus(plc_n1(2)).to_json()
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(blob, torus=[5.9, 5.2])))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("pdds verify:") and "positive integers" in err
+    assert "Traceback" not in err
 
 
 def test_verify_instance_with_distance_256(capsys, tmp_path):

@@ -125,6 +125,15 @@ def test_decode_validates_torus_and_vertex():
         decode(table, (0, 0))
 
 
+@pytest.mark.parametrize("torus", [(5.5, 5), (5, 10.0), (True, 5)])
+def test_decode_rejects_non_integer_torus(torus):
+    # (5.5, 5) used to be truncated to the period torus and answered
+    c = plc_n1(2)
+    table = build_syndrome_table(c.tile, c.hom)
+    with pytest.raises(ValueError, match="positive integers"):
+        decode(table, (1, 2), torus)
+
+
 def test_decode_result_json():
     c = pdds1_q3()
     table = build_syndrome_table(c.tile, c.hom)

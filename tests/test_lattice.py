@@ -72,6 +72,13 @@ def test_box_spec_validation_and_json():
         BoxSpec(())
 
 
+@pytest.mark.parametrize("extents", [(1.5, 1), (2.0,), (True, 1), ("2",)])
+def test_box_spec_rejects_non_integer_extents(extents):
+    # (1.5, 1) used to become (1, 1)
+    with pytest.raises(ValueError, match="positive integers"):
+        BoxSpec(extents)
+
+
 def test_box_shape_paths_and_cube():
     assert set(box_shape(BoxSpec((3, 1)))) == {(0, 0), (1, 0), (2, 0)}
     cube = box_shape(BoxSpec((2, 2, 2)))

@@ -1,15 +1,19 @@
+import itertools
 import json
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdds.constructions import pdds1_square, plc_n1
-from pdds.lattice import BoxSpec
+from pdds.lattice import (BoxSpec, box_shape, strides, t_neighborhood,
+                          translate, unflatten)
 from pdds.search import (
     DEFAULT_MAX_CELLS,
     Placement,
     SearchProblem,
+    _allowed_orientations,
     enumerate_placements,
     exact_cover_search,
 )
@@ -35,6 +39,13 @@ def test_problem_rejects_non_integer_radius(t):
         SearchProblem((5, 5), t, BoxSpec((1, 1)))
 
 
+@pytest.mark.parametrize("torus", [(5.5, 5), (5, 5.0), (True, 5), ("5", 5)])
+def test_problem_rejects_non_integer_torus(torus):
+    # (5.5, 5) used to be truncated and searched as (5, 5)
+    with pytest.raises(ValueError, match="positive integers"):
+        SearchProblem(torus, 1, BoxSpec((1, 1)))
+
+
 def test_placement_counts():
     assert len(enumerate_placements(
         SearchProblem((5, 5), 1, BoxSpec((1, 1))))) == 25
@@ -50,9 +61,8 @@ def test_placements_are_canonical_and_deduplicated():
     problem = SearchProblem((4, 4), 0, BoxSpec((2, 1)))
     placements = enumerate_placements(problem)
     assert placements == sorted(placements,
-                                key=lambda p: (p.cells.vertices,
-                                               p.component.vertices))
-    assert len({(p.cells.vertices, p.component.vertices)
+                                key=lambda p: (p.cells, p.component))
+    assert len({(p.cells, p.component)
                 for p in placements}) == len(placements)
     # dominoes in two orientations, anywhere: 2 * 16
     assert len(placements) == 32
@@ -64,7 +74,8 @@ def test_orientation_that_wraps_axis_is_dropped():
     # orientation remains
     problem = SearchProblem((7, 3), 1, BoxSpec((1, 3)))
     placements = enumerate_placements(problem)
-    assert {p.component.vertices for p in placements} == {
+    assert {tuple(unflatten(c, problem.torus) for c in p.component)
+            for p in placements} == {
         tuple(sorted(((a + i) % 7, b) for i in range(3)))
         for a in range(7) for b in range(3)
     } and len(placements) == 21
@@ -105,7 +116,34 @@ def test_orientation_with_two_nearest_vertices_is_dropped():
     wide = SearchProblem((3, 5), 1, BoxSpec((2, 1)))
     placements = enumerate_placements(wide)
     assert len(placements) == 15
-    assert all(u[0] == v[0] for u, v in (p.component.vertices for p in placements))
+    assert all(u[0] == v[0] for u, v in
+               ((unflatten(c, wide.torus) for c in p.component)
+                for p in placements))
+
+
+def _flat(shape, dims):
+    return tuple(sorted(sum(map(mul, v, strides(dims))) for v in shape))
+
+
+def test_placements_match_per_anchor_neighborhoods():
+    # the shifted neighborhoods equal the ones built anchor by anchor, as
+    # sorted flat tuples in the same canonical order
+    problems = 0
+    for n in (1, 2):
+        for dims in itertools.product(range(1, 7), repeat=n):
+            for t in range(3):
+                for extents in itertools.product(range(1, 4), repeat=n):
+                    problem = SearchProblem(dims, t, BoxSpec(extents))
+                    want = set()
+                    for exts in _allowed_orientations(problem):
+                        base = box_shape(BoxSpec(exts))
+                        for anchor in itertools.product(*(range(d) for d in dims)):
+                            comp = translate(base, anchor, dims)
+                            cells = t_neighborhood(comp, t, dims)
+                            want.add((_flat(cells, dims), _flat(comp, dims)))
+                    assert enumerate_placements(problem) == sorted(want), problem
+                    problems += 1
+    assert problems == 1026
 
 
 def test_exhaustion_with_real_branching():
@@ -162,15 +200,6 @@ def test_volume_cap_and_override():
     result = exact_cover_search(SearchProblem((5, 5), 1, BoxSpec((1, 1))),
                                 max_cells=25)
     assert result.outcome == "found"
-
-
-def test_env_var_overrides_cap(monkeypatch):
-    problem = SearchProblem((5, 5), 1, BoxSpec((1, 1)))
-    monkeypatch.setenv("PDDS_MAX_CELLS", "10")
-    with pytest.raises(ValueError):
-        exact_cover_search(problem)
-    monkeypatch.setenv("PDDS_MAX_CELLS", "25")
-    assert exact_cover_search(problem).outcome == "found"
 
 
 def test_search_result_json_shape():

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdds.abelian import Homomorphism, AbelianGroup, check_bijection, phi_eval
 from pdds.constructions import (
@@ -20,6 +20,7 @@ from pdds.constructions import (
 from pdds.lattice import BoxSpec, Shape, box_shape, translate
 from pdds.verifier import (
     PDDSInstance,
+    _box_extents,
     _circular_offsets,
     _kernel_elements,
     instantiate_on_torus,
@@ -265,6 +266,14 @@ def test_json_without_t_is_rejected():
         Construction.from_json(blob)
 
 
+@pytest.mark.parametrize("torus", [[5.9, 5.2], [5, 5.0], [True, 5]])
+def test_instance_json_rejects_non_integer_torus(torus):
+    # [5.9, 5.2] used to load as (5, 5) and verify as passing
+    blob = instantiate_on_torus(plc_n1(2)).to_json()
+    with pytest.raises(ValueError, match="positive integers"):
+        PDDSInstance.from_json(dict(blob, torus=torus))
+
+
 def test_verify_pdds_rejects_negative_t():
     inst = instantiate_on_torus(plc_n1(2))
     negative = PDDSInstance(inst.torus, -1, inst.h_spec, list(inst.components))
@@ -329,3 +338,59 @@ def test_scan_equals_expansion_on_random_instances(inst):
 @given(small_instances())
 def test_instance_json_round_trip(inst):
     assert PDDSInstance.loads(inst.dumps()) == inst
+
+
+def _box_extents_by_brute_force(verts, dims):
+    """Extents e (each e_i < d_i, or 1 on an axis of length 1) such that the
+    set, reduced mod the torus, is the box of extents e translated to one of
+    its own vertices; None also when two vertices are equal mod the torus."""
+    target = Shape.of(tuple(c % d for c, d in zip(v, dims)) for v in verts)
+    if len(target) != len(verts):
+        return None
+    choices = [range(1, d) if d > 1 else (1,) for d in dims]
+    for exts in itertools.product(*choices):
+        for anchor in target.vertices:
+            if translate(box_shape(BoxSpec(exts)), anchor, dims) == target:
+                return exts
+    return None
+
+
+@st.composite
+def torus_vertex_sets(draw):
+    """Boxes (full-axis rings included), holed boxes, unions of two boxes
+    (often disconnected) and arbitrary sets, on tori of 1-3 axes of 1-5;
+    in half of them each coordinate is moved by -d, 0 or +d, as JSON input
+    may give it unreduced."""
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(draw(st.integers(1, 3))))
+    vertex = st.tuples(*(st.integers(0, d - 1) for d in dims))
+
+    def box():
+        exts = tuple(draw(st.integers(1, d)) for d in dims)
+        return set(translate(box_shape(BoxSpec(exts)), draw(vertex), dims).vertices)
+
+    kind = draw(st.sampled_from(["box", "holed", "two_boxes", "any"]))
+    if kind == "any":
+        return dims, set(draw(st.lists(vertex, min_size=1, max_size=12)))
+    verts = box()
+    if kind == "holed" and len(verts) > 1:
+        verts.discard(draw(st.sampled_from(sorted(verts))))
+    elif kind == "two_boxes":
+        verts |= box()
+    if draw(st.booleans()):
+        verts = {tuple(c + d * draw(st.integers(-1, 1)) for c, d in zip(v, dims))
+                 for v in sorted(verts)}
+    return dims, verts
+
+
+@settings(max_examples=300, deadline=None)
+@given(torus_vertex_sets())
+@example(((3,), {(0,), (1,), (2,)}))                  # full ring
+@example(((2, 1), {(0, 0), (1, 0)}))                  # ring of two
+@example(((1, 4), {(0, 3), (0, 0)}))                  # across the seam
+@example(((3,), {(0,), (1,), (5,)}))                  # full ring, unreduced
+@example(((5,), {(-1,), (0,)}))                       # seam domino, unreduced
+@example(((3,), {(0,), (3,)}))                        # one vertex twice mod 3
+def test_box_extents_match_brute_force(case):
+    dims, verts = case
+    assert _box_extents(Shape.of(verts), dims) == \
+        _box_extents_by_brute_force(verts, dims)
