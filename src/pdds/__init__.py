@@ -38,7 +38,6 @@ from .lattice import (
     BoxSpec,
     Shape,
     box_shape,
-    components_of,
     is_box,
     lee_distance,
     t_neighborhood,
@@ -71,7 +70,7 @@ __all__ = [
     "nonlattice_p2_example", "pdds1_path", "pdds1_q3", "pdds1_square",
     "pdds_t_box2xk_2d", "pdds_t_path_2d", "plc_n1",
     "DecodeResult", "SyndromeTable", "build_syndrome_table", "decode",
-    "BoxSpec", "Shape", "box_shape", "components_of", "is_box",
+    "BoxSpec", "Shape", "box_shape", "is_box",
     "lee_distance", "t_neighborhood", "translate",
     "RenderSpec", "render",
     "Placement", "SearchProblem", "SearchResult", "enumerate_placements",

@@ -60,7 +60,9 @@ class AbelianGroup:
     def reduce(self, a: Sequence[int]) -> GroupElement:
         if len(a) != len(self.moduli):
             raise ValueError(f"element has {len(a)} residues, group rank is {len(self.moduli)}")
-        return tuple(int(x) % m for x, m in zip(a, self.moduli))
+        if not all(map(is_int, a)):
+            raise ValueError(f"residues must be integers, got {tuple(a)!r}")
+        return tuple(x % m for x, m in zip(a, self.moduli))
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
@@ -123,13 +125,6 @@ class AbelianGroup:
             d = prod(p ** exps[j] for p, exps in powers.items() if j < len(exps))
             factors.append(d)
         return AbelianGroup(tuple(reversed(factors)))
-
-    def to_json(self) -> dict:
-        return {"moduli": list(self.moduli)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AbelianGroup":
-        return cls(tuple(obj["moduli"]))
 
     def __str__(self) -> str:
         if not self.moduli:
@@ -228,7 +223,10 @@ def check_bijection(hom: Homomorphism, vertices: Sequence[Point]) -> BijectionRe
 
     The scan runs in canonical (lexicographically sorted) vertex order, so
     the collision witness is deterministic: the reported pair is the earlier
-    preimage together with the first vertex that repeats an image.
+    preimage together with the first vertex that repeats an image.  Each
+    vertex is placed by its :func:`syndrome_rank`; the first rank left empty
+    is the missing element.  A vertex of the wrong dimension raises
+    ValueError, as in :func:`phi_eval`, which stays the reference.
 
     >>> G = AbelianGroup((5,))
     >>> h = Homomorphism(G, ((1,), (2,)))
@@ -237,19 +235,19 @@ def check_bijection(hom: Homomorphism, vertices: Sequence[Point]) -> BijectionRe
     >>> check_bijection(h, [(0, 0), (2, 0), (0, 1), (1, 1), (2, 2)]).status
     'collision'
     """
-    g = hom.group
-    seen: dict[GroupElement, Point] = {}
+    columns = syndrome_columns(hom)
+    seen: list[Optional[Point]] = [None] * hom.group.order
     for v in sorted(tuple(p) for p in vertices):
-        img = phi_eval(hom, v)
-        if img in seen:
-            return BijectionResult("collision", collision=(seen[img], v))
-        seen[img] = v
-    if len(seen) == g.order:
-        return BijectionResult("ok")
-    for elem in g.elements():
-        if elem not in seen:
-            return BijectionResult("not_surjective", missing=elem)
-    raise AssertionError("unreachable: fewer images than order but none missing")
+        if len(v) != hom.dim:
+            raise ValueError(f"vertex dim {len(v)} != homomorphism dim {hom.dim}")
+        r = syndrome_rank(columns, v)
+        if seen[r] is not None:
+            return BijectionResult("collision", collision=(seen[r], v))
+        seen[r] = v
+    if None in seen:
+        return BijectionResult("not_surjective",
+                               missing=hom.group.element_from_rank(seen.index(None)))
+    return BijectionResult("ok")
 
 
 def torus_periods(hom: Homomorphism) -> TorusDims:

@@ -9,6 +9,7 @@ runtime error, 2 on usage errors, 3 when a search exhausts without finding.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Optional, Sequence, Union
@@ -21,18 +22,6 @@ from .lattice import BoxSpec
 from .render import RenderSpec, render
 from .search import SearchProblem, exact_cover_search
 from .verifier import PDDSInstance, instantiate_on_torus, verify_pdds
-
-# Which keyword arguments each family accepts (True marks required ones).
-_FAMILY_PARAMS: dict[str, dict[str, bool]] = {
-    "plc1": {"n": True, "group": False},
-    "path": {"n": True, "k": True},
-    "path2d": {"t": True, "k": True, "variant": False},
-    "box2xk": {"t": True, "k": True, "variant": False},
-    "square": {"k": True},
-    "q3": {},
-    "minkowski": {},
-    "nonlattice": {},
-}
 
 _VARIANTS = {"one": "single_copy", "two": "two_copy"}
 
@@ -82,16 +71,18 @@ def _load_any(path: str) -> Union[Construction, PDDSInstance]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    spec = _FAMILY_PARAMS[args.family]
+    # The builder's signature says which options a family takes; a
+    # parameter without a default is required.
+    params = inspect.signature(FAMILIES[args.family]).parameters
     given = {
         "n": args.n, "k": args.k, "t": args.t,
         "variant": args.variant, "group": args.group,
     }
     kwargs = {}
-    for name, required in spec.items():
+    for name, param in params.items():
         value = given.pop(name)
         if value is None:
-            if required:
+            if param.default is param.empty:
                 raise _UsageError(f"family {args.family!r} requires --{name}")
             continue
         if name == "variant":
@@ -178,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write output to FILE instead of standard output")
 
     p = sub.add_parser("construct", help="build a catalog construction")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
+    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--t", type=int)

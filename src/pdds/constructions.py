@@ -25,8 +25,9 @@ from typing import Callable, Optional, Sequence
 
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
                       check_bijection, molnar_k_set)
-from .lattice import (BoxSpec, Point, Shape, box_shape, check_radius, is_box,
-                      lee_distance, t_neighborhood, translate, unit_vector)
+from .lattice import (BoxSpec, Point, Shape, box_shape, check_point,
+                      check_radius, is_box, is_int, lee_distance,
+                      t_neighborhood, translate, unit_vector)
 
 
 @dataclass
@@ -66,8 +67,12 @@ class Tile:
     @classmethod
     def from_json(cls, obj: dict) -> "Tile":
         shape = Shape.of((tuple(v) for v in obj["vertices"]), dim=obj["dim"])
-        labels = {tuple(entry["v"]): (int(entry["component"]), tuple(entry["device"]))
-                  for entry in obj["labels"]}
+        labels = {}
+        for entry in obj["labels"]:
+            cid = entry["component"]
+            if not is_int(cid):
+                raise ValueError(f"component id must be an integer, got {cid!r}")
+            labels[check_point(entry["v"])] = (cid, check_point(entry["device"]))
         if set(labels) != set(shape.vertices):
             raise ValueError("tile labels do not cover exactly the tile vertices")
         return cls(shape, labels)
@@ -75,21 +80,24 @@ class Tile:
 
 @dataclass
 class Construction:
-    """A tile, its homomorphism, and the component box it tiles with.
-
-    ``lattice_like`` records whether the tile is a single component
-    neighborhood (one H* copy), in which case the produced set is a lattice
-    of translates of one component by construction.  Multi-copy tiles get
-    False here even when the instantiated set happens to admit a denser
-    translation lattice; the geometric question about a concrete instance
-    is answered by the verifier's ``is_lattice_like``.
-    """
+    """A tile, its homomorphism, and the component box it tiles with."""
 
     t: int
     h_spec: BoxSpec
     tile: Tile
     hom: Homomorphism
-    lattice_like: bool
+
+    @property
+    def lattice_like(self) -> bool:
+        """Is the tile a single component neighborhood (one H* copy)?
+
+        Then the produced set is a lattice of translates of one component by
+        construction.  Multi-copy tiles give False even when the
+        instantiated set happens to admit a denser translation lattice; the
+        geometric question about a concrete instance is answered by the
+        verifier's ``is_lattice_like``.
+        """
+        return len(self.tile.component_ids()) == 1
 
     def to_json(self) -> dict:
         return {
@@ -107,7 +115,6 @@ class Construction:
             h_spec=BoxSpec.from_json(obj["h"]),
             tile=Tile.from_json(obj["tile"]),
             hom=Homomorphism.from_json(obj["hom"]),
-            lattice_like=bool(obj["lattice_like"]),
         )
 
     def dumps(self) -> str:
@@ -155,9 +162,6 @@ def _assemble_tile(copies: Sequence[Shape], t: int) -> Tile:
 def _validate(c: Construction) -> Construction:
     """Build-time invariants every catalog construction must satisfy."""
     n = c.tile.shape.dim
-    if len(c.tile.shape) != c.hom.group.order:
-        raise AssertionError(
-            f"tile has {len(c.tile.shape)} vertices, group order is {c.hom.group.order}")
     res = check_bijection(c.hom, c.tile.shape.vertices)
     if not res.ok:
         raise AssertionError(f"tile-to-group map is not a bijection: {res}")
@@ -215,7 +219,7 @@ def plc_n1(n: int, group: Optional[AbelianGroup] = None) -> Construction:
     hom = Homomorphism(group, gens)
     h = box_shape(BoxSpec((1,) * n))
     tile = _assemble_tile([h], 1)
-    return _validate(Construction(1, BoxSpec((1,) * n), tile, hom, True))
+    return _validate(Construction(1, BoxSpec((1,) * n), tile, hom))
 
 
 def pdds1_path(n: int, k: int) -> Construction:
@@ -232,7 +236,7 @@ def pdds1_path(n: int, k: int) -> Construction:
     hom = Homomorphism(group, tuple(((i * k + 1) % order,) for i in range(n)))
     spec = BoxSpec((k,) + (1,) * (n - 1))
     tile = _assemble_tile([box_shape(spec)], 1)
-    return _validate(Construction(1, spec, tile, hom, True))
+    return _validate(Construction(1, spec, tile, hom))
 
 
 def pdds_t_path_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
@@ -256,7 +260,7 @@ def pdds_t_path_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
         hom = Homomorphism(group, (((2 * t + 2 * k - 1) % order,), (1,)))
         copies = [h, translate(h, (t, t + k))]
         tile = _assemble_tile(copies, t)
-        c = Construction(t, spec, tile, hom, False)
+        c = Construction(t, spec, tile, hom)
     elif variant == "single_copy":
         order = 2 * t * t + 2 * t * k + k
         group = AbelianGroup((order,))
@@ -266,7 +270,7 @@ def pdds_t_path_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
             [((1,), ((2 * t + 1) % order,)), ((1,), ((t + 1) % order,))],
             star.vertices, f"pdds_t_path_2d(t={t}, k={k}, single_copy)")
         tile = _assemble_tile([h], t)
-        c = Construction(t, spec, tile, hom, True)
+        c = Construction(t, spec, tile, hom)
     else:
         raise ValueError(f"variant must be 'two_copy' or 'single_copy', got {variant!r}")
     return _validate(c)
@@ -304,7 +308,7 @@ def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
         hom = Homomorphism(group, ((0, 1), (1, 0)))
         copies = [h, translate(h, (t + 1, t + k))]
         tile = _assemble_tile(copies, t)
-        return _validate(Construction(t, spec, tile, hom, False))
+        return _validate(Construction(t, spec, tile, hom))
     if variant != "single_copy":
         raise ValueError(f"variant must be 'two_copy' or 'single_copy', got {variant!r}")
     size = 2 * (t + 1) * (t + k)
@@ -324,7 +328,7 @@ def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
     hom = _resolve_generators(group, candidates, star.vertices,
                               f"pdds_t_box2xk_2d(t={t}, k={k}, single_copy)")
     tile = _assemble_tile([h], t)
-    return _validate(Construction(t, spec, tile, hom, True))
+    return _validate(Construction(t, spec, tile, hom))
 
 
 def pdds1_square(k: int) -> Construction:
@@ -348,7 +352,7 @@ def pdds1_square(k: int) -> Construction:
     hom = Homomorphism(group, tuple((g % order,) for g in gens))
     spec = BoxSpec((2, 2) + (1,) * (3 * k))
     tile = _assemble_tile([box_shape(spec)], 1)
-    return _validate(Construction(1, spec, tile, hom, True))
+    return _validate(Construction(1, spec, tile, hom))
 
 
 def pdds1_q3() -> Construction:
@@ -361,7 +365,7 @@ def pdds1_q3() -> Construction:
     hom = Homomorphism(group, ((1, 3, 3), (0, 1, 0), (0, 0, 1)))
     spec = BoxSpec((2, 2, 2))
     tile = _assemble_tile([box_shape(spec)], 1)
-    return _validate(Construction(1, spec, tile, hom, True))
+    return _validate(Construction(1, spec, tile, hom))
 
 
 def minkowski_p2() -> Construction:
@@ -374,7 +378,7 @@ def minkowski_p2() -> Construction:
     hom = Homomorphism(group, ((1,), (11,), (7,)))
     spec = BoxSpec((2, 1, 1))
     tile = _assemble_tile([box_shape(spec)], 2)
-    return _validate(Construction(2, spec, tile, hom, True))
+    return _validate(Construction(2, spec, tile, hom))
 
 
 def nonlattice_p2_example() -> Construction:
@@ -395,7 +399,7 @@ def nonlattice_p2_example() -> Construction:
         Shape.of([(3, -1), (3, 0)]),
     ]
     tile = _assemble_tile(copies, 1)
-    return _validate(Construction(1, BoxSpec((2, 1)), tile, hom, False))
+    return _validate(Construction(1, BoxSpec((2, 1)), tile, hom))
 
 
 # Family registry used by the command-line interface.

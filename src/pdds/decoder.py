@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mod, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .abelian import (Homomorphism, SyndromeColumns, check_bijection,
                       check_periods, syndrome_columns, syndrome_rank,
                       torus_periods)
 from .constructions import Tile
-from .lattice import Point, TorusDims
+from .lattice import Point, TorusDims, check_point, torus_norm
 
 
 class DecodeResult(NamedTuple):
@@ -60,16 +60,10 @@ class SyndromeTable:
     component (translate) that served a query.
     """
 
-    hom: Homomorphism
     periods: TorusDims
     columns: SyndromeColumns
     entries: list[SyndromeEntry]
     components: tuple[tuple[Point, ...], ...]
-
-
-def _torus_norm(offset: Iterable[int], dims: Sequence[int]) -> int:
-    """Lee distance from the origin to offset on the torus."""
-    return sum(min(o % d, -o % d) for o, d in zip(offset, dims))
 
 
 def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
@@ -79,25 +73,18 @@ def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
     collision or missing witness otherwise); the table then has exactly one
     entry per group element.
     """
-    group = hom.group
+    res = check_bijection(hom, tile.shape.vertices)
+    if not res.ok:
+        raise ValueError(f"tile does not map bijectively onto the group: {res}")
     periods = torus_periods(hom)
     columns = syndrome_columns(hom)
-    entries: list[Optional[SyndromeEntry]] = [None] * group.order
+    entries: list[Optional[SyndromeEntry]] = [None] * hom.group.order
     for v in tile.shape.vertices:
-        rank = syndrome_rank(columns, v)
-        if entries[rank] is not None:
-            break
         cid, device = tile.labels[v]
-        entries[rank] = SyndromeEntry(v, cid, device,
-                                      _torus_norm(map(sub, device, v), periods))
-    else:
-        # No two vertices share a rank, so as many vertices as group
-        # elements fill every entry.
-        if len(tile.shape.vertices) == group.order:
-            components = tuple(comp.vertices for comp in tile.components())
-            return SyndromeTable(hom, periods, columns, entries, components)
-    res = check_bijection(hom, tile.shape.vertices)
-    raise ValueError(f"tile does not map bijectively onto the group: {res}")
+        entries[syndrome_rank(columns, v)] = SyndromeEntry(
+            v, cid, device, torus_norm(map(sub, device, v), periods))
+    components = tuple(comp.vertices for comp in tile.components())
+    return SyndromeTable(periods, columns, entries, components)
 
 
 def decode(table: SyndromeTable, x: Sequence[int],
@@ -111,7 +98,7 @@ def decode(table: SyndromeTable, x: Sequence[int],
     distance.
     """
     dims = table.periods if torus is None else check_periods(table.periods, torus)
-    x = tuple(map(int, x))
+    x = check_point(x)
     if len(x) != len(dims):
         raise ValueError(f"vertex has {len(x)} coordinates, expected {len(dims)}")
     v, cid, device, distance = table.entries[syndrome_rank(table.columns, x)]
@@ -121,5 +108,5 @@ def decode(table: SyndromeTable, x: Sequence[int],
     anchor = min(tuple(map(mod, map(add, u, z), dims))
                  for u in table.components[cid])
     if torus is not None:
-        distance = _torus_norm(map(sub, device, v), dims)
+        distance = torus_norm(map(sub, device, v), dims)
     return DecodeResult(tuple(map(mod, map(add, device, z), dims)), anchor, distance)

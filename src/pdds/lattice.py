@@ -14,18 +14,14 @@ plain equality of the dataclass.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import prod
+from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 Point = tuple[int, ...]
 TorusDims = tuple[int, ...]
-
-
-def _as_point(p: Sequence[int]) -> Point:
-    return tuple(int(c) for c in p)
 
 
 def check_torus(dim: int, torus: Optional[TorusDims]) -> Optional[TorusDims]:
@@ -50,6 +46,16 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_point(p: Iterable[object]) -> Point:
+    """A vertex from outside the program as a tuple of ints; ValueError if
+    a coordinate is not an int (bools, fractions and strings included)."""
+    v = tuple(p)
+    # One set of types passes the usual all-int vertex (decode's hot path).
+    if {*map(type, v)} != {int} and not all(map(is_int, v)):
+        raise ValueError(f"vertex coordinates must be integers, got {v!r}")
+    return v
+
+
 def check_radius(t: object) -> int:
     """A domination radius from outside the program: a nonnegative int.
 
@@ -64,8 +70,8 @@ def check_radius(t: object) -> int:
 def reduce_point(p: Sequence[int], torus: Optional[TorusDims]) -> Point:
     """Reduce a vertex modulo the torus (identity on the infinite grid)."""
     if torus is None:
-        return _as_point(p)
-    return tuple(int(c) % d for c, d in zip(p, torus))
+        return tuple(p)
+    return tuple(c % d for c, d in zip(p, torus))
 
 
 def strides(dims: Sequence[int]) -> tuple[int, ...]:
@@ -116,11 +122,16 @@ def lee_distance(u: Sequence[int], v: Sequence[int],
     dims = check_torus(len(u), torus)
     if dims is None:
         return sum(abs(a - b) for a, b in zip(u, v))
-    total = 0
-    for a, b, d in zip(u, v, dims):
-        r = (a - b) % d
-        total += min(r, d - r)
-    return total
+    return torus_norm(map(sub, u, v), dims)
+
+
+def torus_norm(offset: Iterable[int], dims: Sequence[int]) -> int:
+    """Lee distance from the origin to offset on a torus of checked dims.
+
+    >>> torus_norm((5, -2), (6, 6))
+    3
+    """
+    return sum(min(o % d, -o % d) for o, d in zip(offset, dims))
 
 
 @dataclass(frozen=True)
@@ -161,7 +172,8 @@ class Shape:
 
     ``vertices`` is lexicographically sorted and duplicate-free, so two
     shapes are equal exactly when they contain the same vertices of the same
-    dimension.  Build instances with :meth:`of`, which canonicalizes.
+    dimension.  Build instances with :meth:`of`, which canonicalizes and
+    rejects non-integer coordinates.
     """
 
     dim: int
@@ -169,7 +181,7 @@ class Shape:
 
     @classmethod
     def of(cls, vertices: Iterable[Sequence[int]], dim: Optional[int] = None) -> "Shape":
-        verts = sorted({_as_point(v) for v in vertices})
+        verts = sorted({check_point(v) for v in vertices})
         if verts:
             d = len(verts[0])
             if any(len(v) != d for v in verts):
@@ -189,16 +201,6 @@ class Shape:
 
     def as_set(self) -> frozenset[Point]:
         return frozenset(self.vertices)
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "vertices": [list(v) for v in self.vertices]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Shape":
-        return cls.of((tuple(v) for v in obj["vertices"]), dim=obj["dim"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def box_shape(spec: BoxSpec) -> Shape:
@@ -259,32 +261,6 @@ def t_neighborhood(shape: Shape, t: int,
         if not frontier:
             break
     return Shape.of(seen, dim=shape.dim)
-
-
-def components_of(shape: Shape, torus: Optional[TorusDims] = None) -> list[Shape]:
-    """Connected components of the induced grid subgraph on the shape.
-
-    Components are returned ordered by their lexicographically smallest
-    member, each in canonical form.
-    """
-    dims = check_torus(shape.dim, torus)
-    remaining = set(reduce_point(v, dims) for v in shape.vertices)
-    out: list[Shape] = []
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        comp = {start}
-        frontier = [start]
-        remaining.discard(start)
-        while frontier:
-            v = frontier.pop()
-            for w in _neighbors(v, dims):
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.add(w)
-                    frontier.append(w)
-        out.append(Shape.of(comp, dim=shape.dim))
-    return out
 
 
 def is_box(shape: Shape) -> Optional[BoxSpec]:

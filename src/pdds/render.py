@@ -14,8 +14,8 @@ from typing import Optional, Union
 
 from .abelian import syndrome_columns, syndrome_rank
 from .constructions import Construction
-from .lattice import Point, TorusDims, t_neighborhood
-from .verifier import PDDSInstance, instantiate_on_torus
+from .lattice import Point, TorusDims
+from .verifier import PDDSInstance, coverage, instantiate_on_torus
 
 FORMATS = ("ascii", "svg")
 LABEL_MODES = ("group_elements", "component_ids", "devices")
@@ -82,21 +82,17 @@ def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
         for u, ci in comp_index.items():
             labels[u] = str(ci)
     else:
-        # devices: the service map.  Every vertex shows the component whose
-        # neighborhood claims it; device vertices (set members) are starred,
-        # contested vertices show "?", unserved vertices stay blank.
-        claimed: dict[Point, int] = {}
-        contested: set[Point] = set()
-        for ci, comp in enumerate(inst.components):
-            for u in t_neighborhood(comp, inst.t, dims):
-                if u in claimed:
-                    contested.add(u)
-                else:
-                    claimed[u] = ci
-        for u, ci in claimed.items():
-            if u in contested:
+        # devices: the service map, read off the verifier's coverage arrays
+        # (row-major flat order is lexicographic vertex order).  Every vertex
+        # shows the component whose neighborhood claims it; device vertices
+        # (set members) are starred, contested vertices show "?", unserved
+        # vertices stay blank.
+        cover, comp_of, _, _ = coverage(inst)
+        vertices = _cartesian(*(range(d) for d in dims))
+        for u, state, ci in zip(vertices, cover, comp_of):
+            if state == 2:
                 labels[u] = "?"
-            else:
+            elif state == 1:
                 labels[u] = f"{ci}*" if u in comp_index else str(ci)
     return dims, labels, comp_index
 

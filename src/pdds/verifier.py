@@ -14,7 +14,8 @@ vertex:
 Verification has two independent code paths — a plain scan over all
 (vertex, component) pairs and a neighborhood expansion outward from each
 component — that must agree; the expansion is the fast path used by
-default, the scan is the reference oracle.
+default, the scan is the reference oracle.  The expansion's per-vertex
+arrays are public as :func:`coverage`, the service map render draws.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from itertools import product as _cartesian
 from math import prod
 from typing import Iterator, Optional, Sequence
 
-from .abelian import (Homomorphism, check_periods, syndrome_columns,
-                      syndrome_rank, torus_periods)
+from .abelian import (Homomorphism, check_bijection, check_periods,
+                      torus_periods)
 from .constructions import Construction, Tile
 from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus,
                       lee_distance, strides, unflatten)
@@ -151,18 +152,11 @@ def instantiate_on_torus(construction: Construction,
     periods = torus_periods(hom)
     dims = periods if torus is None else check_periods(periods, torus)
 
-    # The inverse syndrome map doubles as a corruption check: a tile that no
-    # longer maps bijectively cannot tile anything.
-    columns = syndrome_columns(hom)
-    seen: dict[int, Point] = {}
-    for v in construction.tile.shape.vertices:
-        r = syndrome_rank(columns, v)
-        if r in seen:
-            raise ValueError(f"construction corrupt: {seen[r]} and {v} share a syndrome")
-        seen[r] = v
-    if len(seen) != hom.group.order:
-        raise ValueError(f"construction corrupt: tile covers {len(seen)} of "
-                         f"{hom.group.order} syndromes")
+    # A tile that no longer maps bijectively cannot tile anything.
+    res = check_bijection(hom, construction.tile.shape.vertices)
+    if not res.ok:
+        raise ValueError("construction corrupt: tile does not map bijectively "
+                         f"onto the group: {res}")
 
     comp_vertex_lists = [comp.vertices for comp in construction.tile.components()]
     placed: set[frozenset[Point]] = set()
@@ -276,10 +270,19 @@ def _verify_by_scan(inst: PDDSInstance) -> list[Violation]:
     return violations
 
 
-def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
-    """Fast path: expand each component's t-neighborhood into flat arrays."""
+def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
+                                          dict[int, list[int]]]:
+    """The service map: which components reach each torus vertex within t.
+
+    Returns ``(cover, comp_of, count_of, multi)``, indexed by row-major flat
+    index (``lattice.strides``).  ``cover[f]`` is 0, 1 or 2 for no, one or
+    several components within distance t; at 1, ``comp_of[f]`` is that
+    component and ``count_of[f]`` its number of nearest vertices (capped at
+    255); at 2, ``multi[f]`` lists every such component in order.
+    """
     dims = inst.torus
-    n = len(dims)
+    if any(comp.dim != inst.dim for comp in inst.components):
+        raise ValueError("component dimension differs from torus dimension")
     volume = inst.volume
     row_strides = strides(dims)
     offsets = _circular_offsets(dims, inst.t)
@@ -314,10 +317,15 @@ def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
                     multi[flat] = [comp_of[flat]]
                     cover[flat] = 2
                 multi[flat].append(cid)
+    return cover, comp_of, count_of, multi
 
+
+def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
+    """Fast path: read the violations off the :func:`coverage` arrays."""
+    dims = inst.torus
+    cover, comp_of, count_of, multi = coverage(inst)
     violations = []
-    for flat in range(volume):
-        state = cover[flat]
+    for flat, state in enumerate(cover):
         if state == 1 and count_of[flat] == 1:
             continue
         x = unflatten(flat, dims)

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdds.abelian import (
     AbelianGroup,
+    BijectionResult,
     Homomorphism,
     check_bijection,
     enumerate_abelian_groups,
@@ -113,6 +115,13 @@ def test_homomorphism_json_round_trip():
     assert again == hom
 
 
+@pytest.mark.parametrize("residue", [1.9, 2.0, True, "1"])
+def test_homomorphism_rejects_non_integer_residues(residue):
+    # [1.9] used to become 1, and the construction then verified
+    with pytest.raises(ValueError, match="residues must be integers"):
+        Homomorphism.from_json({"moduli": [5], "generators": [[1], [residue]]})
+
+
 def test_check_bijection_ok_on_lee_ball():
     # radius-2 Lee ball (13 cells) against Z13 with generator images 1, 5
     ball = sorted({(x, y) for x in range(-2, 3) for y in range(-2, 3)
@@ -131,6 +140,75 @@ def test_check_bijection_collision_and_missing():
     short = check_bijection(hom, [(0,), (1,), (2,)])
     assert short.status == "not_surjective"
     assert short.missing == (3,)
+
+
+def reference_bijection(hom, vertices):
+    """check_bijection as it was first written: phi_eval images in a dict."""
+    g = hom.group
+    seen = {}
+    for v in sorted(tuple(p) for p in vertices):
+        img = phi_eval(hom, v)
+        if img in seen:
+            return BijectionResult("collision", collision=(seen[img], v))
+        seen[img] = v
+    if len(seen) == g.order:
+        return BijectionResult("ok")
+    return BijectionResult("not_surjective",
+                           missing=next(e for e in g.elements() if e not in seen))
+
+
+@st.composite
+def homomorphisms_and_vertices(draw):
+    """A random homomorphism with a vertex list that may or may not tile.
+
+    Half the lists are one preimage per image (found by a walk over the
+    grid), so bijections are common when the map is onto; the others are
+    arbitrary small vertices.  Either kind may be cut short, and up to two
+    vertices may gain a period-shifted copy, which shares their image.
+    """
+    moduli = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    n = draw(st.integers(1, 3))
+    gens = tuple(tuple(draw(st.integers(0, m - 1)) for m in moduli) for _ in range(n))
+    hom = Homomorphism(AbelianGroup(moduli), gens)
+    periods = torus_periods(hom)
+    if draw(st.booleans()):
+        first = {phi_eval(hom, (0,) * n): (0,) * n}
+        frontier = [(0,) * n]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for i in range(n):
+                    for s in (1, -1):
+                        u = v[:i] + (v[i] + s,) + v[i + 1:]
+                        img = phi_eval(hom, u)
+                        if img not in first:
+                            first[img] = u
+                            nxt.append(u)
+            frontier = nxt
+        verts = [tuple(c + p * draw(st.integers(-1, 1)) for c, p in zip(v, periods))
+                 for v in first.values()]
+    else:
+        verts = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n),
+                              max_size=hom.group.order + 2))
+    if draw(st.booleans()):
+        verts = verts[:draw(st.integers(len(verts) - 2, len(verts)))]
+    if verts and draw(st.booleans()):
+        for v in draw(st.lists(st.sampled_from(verts), min_size=1, max_size=2)):
+            i = draw(st.integers(0, n - 1))
+            verts.append(v[:i] + (v[i] + periods[i] * draw(st.sampled_from((-1, 1))),)
+                         + v[i + 1:])
+    return hom, verts
+
+
+@settings(max_examples=400, deadline=None)
+@given(homomorphisms_and_vertices())
+def test_check_bijection_matches_phi_eval_reference(case):
+    hom, verts = case
+    assert check_bijection(hom, verts) == reference_bijection(hom, verts)
+    # Sorted first, so the scan reaches it before any collision.
+    wrong = verts + [(-10**6,) * (hom.dim + 1)]
+    with pytest.raises(ValueError, match="vertex dim"):
+        check_bijection(hom, wrong)
 
 
 def test_torus_periods():

@@ -208,6 +208,37 @@ def test_verify_rejects_fractional_torus_without_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def _fractional(kind):
+    """Catalog JSON with one integer field replaced by a fraction."""
+    if kind == "instance-vertex":
+        blob = instantiate_on_torus(plc_n1(2)).to_json()
+        blob["components"][0] = [[0.5, 0.5]]
+    else:
+        blob = plc_n1(2).to_json()
+        if kind == "generator":
+            blob["hom"]["generators"][1] = [1.9]
+        elif kind == "component-id":
+            blob["tile"]["labels"][0]["component"] = 0.7
+        else:
+            blob["tile"]["labels"][0]["device"] = [0.5, "x"]
+    return blob
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("verify", "instance-vertex"), ("verify", "generator"),
+    ("decode", "generator"), ("decode", "component-id"), ("decode", "device"),
+])
+def test_fractional_json_fields_exit_one_without_traceback(capsys, tmp_path,
+                                                           command, kind):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_fractional(kind)))
+    extra = ["--vertex", "1,2"] if command == "decode" else []
+    code, out, err = invoke(capsys, command, str(path), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"pdds {command}:") and "integer" in err
+    assert "Traceback" not in err
+
+
 def test_verify_instance_with_distance_256(capsys, tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"torus": [512], "t": 256, "h": {"extents": [1]},

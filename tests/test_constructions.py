@@ -238,3 +238,24 @@ def test_tile_from_json_validates_labels():
     blob["labels"] = blob["labels"][:-1]
     with pytest.raises(ValueError):
         Tile.from_json(blob)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("component", 0.7), ("component", True), ("component", "0"),
+    ("device", [0.5, "x"]), ("device", [0.0, 0]), ("v", [0.0, 0.0]),
+])
+def test_tile_from_json_rejects_non_integer_labels(field, value):
+    # component 0.7 used to become 0 and device [0.5, "x"] was taken as is
+    blob = plc_n1(2).tile.to_json()
+    blob["labels"][0][field] = value
+    with pytest.raises(ValueError, match="must be (an )?integers?"):
+        Tile.from_json(blob)
+
+
+def test_lattice_like_is_derived_from_the_tile():
+    # A two-copy tile stays multi-copy whatever the JSON claims.
+    blob = pdds_t_path_2d(2, 3, "two_copy").to_json()
+    assert blob["lattice_like"] is False
+    assert not Construction.from_json(dict(blob, lattice_like=True)).lattice_like
+    single = pdds_t_path_2d(2, 3, "single_copy").to_json()
+    assert Construction.from_json(dict(single, lattice_like=False)).lattice_like

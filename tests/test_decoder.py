@@ -134,6 +134,15 @@ def test_decode_rejects_non_integer_torus(torus):
         decode(table, (1, 2), torus)
 
 
+@pytest.mark.parametrize("x", [(1.5, 2), (1, 2.0), (True, 2), ("1", 2)])
+def test_decode_rejects_non_integer_vertex(x):
+    # (1.5, 2) used to be answered as (1, 2)
+    c = plc_n1(2)
+    table = build_syndrome_table(c.tile, c.hom)
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        decode(table, x)
+
+
 def test_decode_result_json():
     c = pdds1_q3()
     table = build_syndrome_table(c.tile, c.hom)

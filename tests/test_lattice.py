@@ -7,7 +7,6 @@ from pdds.lattice import (
     BoxSpec,
     Shape,
     box_shape,
-    components_of,
     is_box,
     lee_distance,
     strides,
@@ -90,9 +89,15 @@ def test_shape_canonicalization_and_json():
     s = Shape.of([(1, 0), (0, 0), (1, 0)])
     assert s.vertices == ((0, 0), (1, 0))
     assert (0, 0) in s and (2, 2) not in s
-    assert Shape.from_json(s.to_json()) == s
     with pytest.raises(ValueError):
         Shape.of([(0, 0), (0, 0, 0)])
+
+
+@pytest.mark.parametrize("vertex", [("3", 1), (0.5, 0.5), (2.0, 1), (True, 0), (None, 1)])
+def test_shape_rejects_non_integer_coordinates(vertex):
+    # ("3", 1) used to become (3, 1) and (0.5, 0.5) became (0, 0)
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        Shape.of([(0, 0), vertex])
 
 
 def test_translate_plain_and_torus():
@@ -131,18 +136,6 @@ def test_t_neighborhood_matches_brute_on_torus():
         want = {x for x in itertools.product(range(dims[0]), range(dims[1]))
                 if min(lee_distance(x, v, dims) for v in verts) <= t}
         assert got == want
-
-
-def test_components_of_splits_and_orders():
-    s = Shape.of([(0, 0), (1, 0), (3, 0), (3, 1)])
-    comps = components_of(s)
-    assert [c.vertices for c in comps] == [((0, 0), (1, 0)), ((3, 0), (3, 1))]
-
-
-def test_components_of_joins_across_torus_seam():
-    s = Shape.of([(0, 0), (4, 0)])
-    assert len(components_of(s)) == 2
-    assert len(components_of(s, (5, 5))) == 1
 
 
 def test_is_box_accepts_boxes_rejects_others():

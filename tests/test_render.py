@@ -7,10 +7,13 @@ from pdds.constructions import (
     nonlattice_p2_example,
     pdds1_q3,
     pdds1_square,
+    pdds_t_box2xk_2d,
+    pdds_t_path_2d,
     plc_n1,
 )
-from pdds.lattice import BoxSpec
-from pdds.render import RenderSpec, render, render_ascii, render_svg
+from pdds.lattice import BoxSpec, t_neighborhood, translate
+from pdds.render import (RenderSpec, _labels_and_fills, render, render_ascii,
+                         render_svg)
 from pdds.verifier import PDDSInstance, instantiate_on_torus
 
 
@@ -63,6 +66,39 @@ def test_devices_mode_shows_service_regions():
     assert len(starred) == 8          # two 2x2 components
     assert len(plain) == 16           # every other vertex is served
     assert not any(c == "?" for c in cells)
+
+
+def reference_devices(inst):
+    """Service-map labels from one torus t-neighborhood per component."""
+    members = {u for comp in inst.components for u in comp}
+    claimed, contested = {}, set()
+    for ci, comp in enumerate(inst.components):
+        for u in t_neighborhood(comp, inst.t, inst.torus):
+            if u in claimed:
+                contested.add(u)
+            else:
+                claimed[u] = ci
+    return {u: "?" if u in contested else f"{ci}*" if u in members else str(ci)
+            for u, ci in claimed.items()}
+
+
+def test_devices_labels_match_per_component_neighborhoods():
+    blanks = contested = 0
+    for c in (plc_n1(2), pdds1_square(0), pdds1_q3(), nonlattice_p2_example(),
+              pdds_t_path_2d(2, 2, "two_copy"), pdds_t_box2xk_2d(1, 2, "single_copy")):
+        inst = instantiate_on_torus(c)
+        comps = inst.components
+        # Drop one component (its neighborhood goes unserved), and repeat
+        # one a step over along the first axis (contested vertices).
+        step = (1,) + (0,) * (inst.dim - 1)
+        for variant in (comps, comps[1:], comps + [translate(comps[0], step, inst.torus)]):
+            candidate = PDDSInstance(inst.torus, inst.t, inst.h_spec, variant)
+            _, labels, _ = _labels_and_fills(candidate, RenderSpec("svg", "devices"), None)
+            want = reference_devices(candidate)
+            assert labels == want, c.h_spec
+            blanks += inst.volume - len(want)
+            contested += sum(text == "?" for text in want.values())
+    assert blanks > 0 and contested > 0
 
 
 def test_unsupported_dimensions_raise():

@@ -28,6 +28,7 @@ from pdds.verifier import (
     verify_partition,
     verify_pdds,
 )
+from test_acceptance import corrupt_tile
 
 SMALL_CATALOG = [
     plc_n1(2),
@@ -272,6 +273,33 @@ def test_instance_json_rejects_non_integer_torus(torus):
     blob = instantiate_on_torus(plc_n1(2)).to_json()
     with pytest.raises(ValueError, match="positive integers"):
         PDDSInstance.from_json(dict(blob, torus=torus))
+
+
+@pytest.mark.parametrize("vertex", [[0.5, 0.5], [0.0, 0.0], [False, 0]])
+def test_instance_json_rejects_non_integer_coordinates(vertex):
+    # [[0.5, 0.5]] used to load as (0, 0) and verify as passing
+    blob = instantiate_on_torus(plc_n1(2)).to_json()
+    blob["components"][0] = [vertex]
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        PDDSInstance.from_json(blob)
+
+
+def test_instantiate_rejects_corrupted_tile_with_witness():
+    rng = random.Random(5)
+    corrupted = 0
+    for c in (plc_n1(2), pdds1_square(0), pdds1_q3(), nonlattice_p2_example()):
+        for _ in range(5):
+            bent = corrupt_tile(c.tile, rng)
+            res = check_bijection(c.hom, bent.shape.vertices)
+            if res.ok:
+                continue
+            witness = res.collision if res.status == "collision" else res.missing
+            with pytest.raises(ValueError, match="construction corrupt: tile does "
+                               "not map bijectively onto the group:") as err:
+                instantiate_on_torus(Construction(c.t, c.h_spec, bent, c.hom))
+            assert res.status in str(err.value) and str(witness) in str(err.value)
+            corrupted += 1
+    assert corrupted >= 15
 
 
 def test_verify_pdds_rejects_negative_t():
