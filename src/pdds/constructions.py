@@ -110,10 +110,14 @@ class Construction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Construction":
+        h_spec = BoxSpec.from_json(obj["h"])
+        tile = Tile.from_json(obj["tile"])
+        if h_spec.dim != tile.shape.dim:
+            raise ValueError(f"box spec h has {h_spec.dim} axes, tile has {tile.shape.dim}")
         return cls(
             t=check_radius(obj.get("t")),
-            h_spec=BoxSpec.from_json(obj["h"]),
-            tile=Tile.from_json(obj["tile"]),
+            h_spec=h_spec,
+            tile=tile,
             hom=Homomorphism.from_json(obj["hom"]),
         )
 

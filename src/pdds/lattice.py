@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import prod
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 Point = tuple[int, ...]
@@ -86,6 +86,45 @@ def strides(dims: Sequence[int]) -> tuple[int, ...]:
     for i in range(len(dims) - 2, -1, -1):
         out[i] = out[i + 1] * dims[i + 1]
     return tuple(out)
+
+
+def shifted_flats(verts: Sequence[Sequence[int]], anchors: Iterable[Sequence[int]],
+                  dims: Sequence[int]) -> Iterator[list[int]]:
+    """Per anchor a, the flat indices of ``(v + a) mod dims`` for v in verts.
+
+    Each list follows the order of verts.  Coordinates need not be reduced.
+    Each axis contributes a column (shifted coordinate times stride), built
+    once per distinct anchor coordinate and summed with ``map(add)``, so no
+    vertex tuple is built.  The sum over all axes but the last is kept
+    while consecutive anchors agree on them, so anchors in lexicographic
+    order cost about one sum each.  The lists may be shared between
+    anchors: read them, do not modify them.
+
+    >>> list(shifted_flats([(0, 0), (0, 1)], [(0, 1), (2, 2)], (3, 3)))
+    [[1, 2], [8, 6]]
+    """
+    row_strides = strides(dims)
+    columns: list[dict[int, list[int]]] = [{} for _ in dims]
+
+    def column(i: int, c: int) -> list[int]:
+        col = columns[i].get(c)
+        if col is None:
+            d, s = dims[i], row_strides[i]
+            col = columns[i][c] = [(v[i] + c) % d * s for v in verts]
+        return col
+
+    last = len(dims) - 1
+    head = lead = None
+    for a in anchors:
+        if a[:-1] != head:
+            head, lead = a[:-1], None
+            for i, c in enumerate(head):
+                col = column(i, c)
+                lead = col if lead is None else list(map(add, lead, col))
+        col = columns[last].get(a[-1])
+        if col is None:
+            col = column(last, a[-1])
+        yield col if lead is None else list(map(add, lead, col))
 
 
 def unflatten(flat: int, dims: Sequence[int]) -> Point:

@@ -16,13 +16,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product as _cartesian
 from math import prod
-from operator import add
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .lattice import (BoxSpec, Point, Shape, box_shape, check_radius,
-                      check_torus, strides, t_neighborhood, unflatten)
+from .lattice import (BoxSpec, Shape, box_shape, check_radius, check_torus,
+                      shifted_flats, t_neighborhood, unflatten)
 from .verifier import PDDSInstance, verify_pdds
 
 DEFAULT_MAX_CELLS = 4096
@@ -116,19 +115,6 @@ def _nearest_is_unique(exts: tuple[int, ...], t: int,
                for v in verify_pdds(alone, strict_box=False).violations)
 
 
-def _shifted(verts: Sequence[Point], dims: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Sorted flat indices of the vertex set shifted to every torus anchor.
-
-    Anchors come in lexicographic order; each axis adds its shifted
-    coordinate times its stride, so no vertex tuple is built.
-    """
-    out = [[0] * len(verts)]
-    for i, (d, s) in enumerate(zip(dims, strides(dims))):
-        cols = [[(v[i] + a) % d * s for v in verts] for a in range(d)]
-        out = [list(map(add, flats, col)) for flats in out for col in cols]
-    return [tuple(sorted(flats)) for flats in out]
-
-
 def enumerate_placements(problem: SearchProblem) -> list[Placement]:
     """Every allowed (cells, component) pair, deduplicated, in canonical order.
 
@@ -142,9 +128,12 @@ def enumerate_placements(problem: SearchProblem) -> list[Placement]:
     found = set()
     for exts in _allowed_orientations(problem):
         box = box_shape(BoxSpec(exts))
-        cells = t_neighborhood(box, problem.t, dims)
-        found.update(zip(_shifted(cells.vertices, dims),
-                         _shifted(box.vertices, dims)))
+        cells = t_neighborhood(box, problem.t, dims).vertices
+        k = len(cells)
+        # Cells and box are shifted together, one list per anchor, then split.
+        anchors = _cartesian(*(range(d) for d in dims))
+        found.update((tuple(sorted(flats[:k])), tuple(sorted(flats[k:])))
+                     for flats in shifted_flats(cells + box.vertices, anchors, dims))
     return [Placement(*p) for p in sorted(found)]
 
 

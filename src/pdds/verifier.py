@@ -24,13 +24,14 @@ import json
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
 from math import prod
+from operator import mod, sub
 from typing import Iterator, Optional, Sequence
 
 from .abelian import (Homomorphism, check_bijection, check_periods,
                       torus_periods)
 from .constructions import Construction, Tile
 from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus,
-                      lee_distance, strides, unflatten)
+                      lee_distance, shifted_flats, unflatten)
 
 
 @dataclass
@@ -61,10 +62,13 @@ class PDDSInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "PDDSInstance":
         torus = check_torus(len(obj["torus"]), obj["torus"])
+        h_spec = BoxSpec.from_json(obj["h"])
+        if h_spec.dim != len(torus):
+            raise ValueError(f"box spec h has {h_spec.dim} axes, torus has {len(torus)}")
         comps = [Shape.of((tuple(v) for v in comp), dim=len(torus))
                  for comp in obj["components"]]
         comps.sort(key=lambda s: s.vertices)
-        return cls(torus, check_radius(obj.get("t")), BoxSpec.from_json(obj["h"]), comps)
+        return cls(torus, check_radius(obj.get("t")), h_spec, comps)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -145,8 +149,11 @@ def instantiate_on_torus(construction: Construction,
     With no torus given, the per-axis periods of the homomorphism are used
     (the smallest torus it descends to).  Every supplied dimension must be
     annihilated by the corresponding generator image.  The instance's
-    components are the kernel-translates of the tile's components,
-    deduplicated and canonically ordered.
+    components are the kernel-translates of the tile's components, in
+    canonical order.  None repeats: the tile maps bijectively onto the
+    group and the torus is a period multiple, so the tile's translates
+    partition the torus, and each component lies inside the tile (as in
+    every catalog construction, where a component vertex is its own device).
     """
     hom = construction.hom
     periods = torus_periods(hom)
@@ -158,14 +165,14 @@ def instantiate_on_torus(construction: Construction,
         raise ValueError("construction corrupt: tile does not map bijectively "
                          f"onto the group: {res}")
 
-    comp_vertex_lists = [comp.vertices for comp in construction.tile.components()]
-    placed: set[frozenset[Point]] = set()
-    for z in _kernel_elements(hom, dims):
-        for verts in comp_vertex_lists:
-            placed.add(frozenset(
-                tuple((a + b) % d for a, b, d in zip(v, z, dims)) for v in verts))
-    components = sorted((Shape.of(c, dim=len(dims)) for c in placed),
-                        key=lambda s: s.vertices)
+    kernel = list(_kernel_elements(hom, dims))
+    # Row-major flat order is lexicographic, so sorted flat tuples order
+    # the components as their sorted vertex tuples would.
+    placed = sorted(tuple(sorted(flats))
+                    for comp in construction.tile.components()
+                    for flats in shifted_flats(comp.vertices, kernel, dims))
+    components = [Shape.of((unflatten(f, dims) for f in flats), dim=len(dims))
+                  for flats in placed]
     return PDDSInstance(dims, construction.t, construction.h_spec, components)
 
 
@@ -278,40 +285,62 @@ def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
     index (``lattice.strides``).  ``cover[f]`` is 0, 1 or 2 for no, one or
     several components within distance t; at 1, ``comp_of[f]`` is that
     component and ``count_of[f]`` its number of nearest vertices (capped at
-    255); at 2, ``multi[f]`` lists every such component in order.
+    255); at 2, ``multi[f]`` lists every such component in order.  Raises
+    ValueError for a component whose dimension is not the torus's.
     """
     dims = inst.torus
     if any(comp.dim != inst.dim for comp in inst.components):
         raise ValueError("component dimension differs from torus dimension")
     volume = inst.volume
-    row_strides = strides(dims)
     offsets = _circular_offsets(dims, inst.t)
+
+    # Components with the same vertex offsets from their first vertex (mod
+    # the torus, in vertex order) are translates: one local map, shifted to
+    # each member's first vertex, serves the whole class.
+    classes: dict[tuple[Point, ...], int] = {}
+    anchors: list[list[Point]] = []
+    class_of = []
+    for comp in inst.components:
+        base = comp.vertices[0] if comp.vertices else (0,) * len(dims)
+        key = tuple(tuple(map(mod, map(sub, v, base), dims)) for v in comp.vertices)
+        k = classes.setdefault(key, len(anchors))
+        if k == len(anchors):
+            anchors.append([])
+        anchors[k].append(base)
+        class_of.append(k)
+
+    shifts = []
+    for key, k in classes.items():
+        local: dict[Point, list[int]] = {}   # cell -> [least distance, count]
+        for w in key:
+            for delta, d in offsets:
+                cell = tuple((a + b) % n for a, b, n in zip(w, delta, dims))
+                entry = local.get(cell)
+                if entry is None:
+                    local[cell] = [d, 1]
+                elif d < entry[0]:
+                    entry[0] = d
+                    entry[1] = 1
+                elif d == entry[0]:
+                    entry[1] += 1
+        counts = [min(cnt, 255) for _, cnt in local.values()]
+        shifts.append((shifted_flats(list(local), anchors[k], dims), counts))
 
     cover = bytearray(volume)          # 0, 1, or 2 components saturating
     comp_of = [-1] * volume
     count_of = bytearray(volume)       # minimizer count within the covering component
     multi: dict[int, list[int]] = {}   # flat -> list of covering component ids
 
-    for cid, comp in enumerate(inst.components):
-        local: dict[int, list[int]] = {}
-        for w in comp.vertices:
-            for delta, d in offsets:
-                flat = 0
-                for a, b, dim, s in zip(w, delta, dims, row_strides):
-                    flat += ((a + b) % dim) * s
-                entry = local.get(flat)
-                if entry is None:
-                    local[flat] = [d, 1]
-                elif d < entry[0]:
-                    entry[0] = d
-                    entry[1] = 1
-                elif d == entry[0]:
-                    entry[1] += 1
-        for flat, (_, cnt) in local.items():
+    # Components are written in order (each class's generator advanced in
+    # turn), so the first component to reach a cell owns it, as in a plain
+    # per-component loop.
+    for cid, k in enumerate(class_of):
+        flats, counts = shifts[k]
+        for flat, cnt in zip(next(flats), counts):
             if cover[flat] == 0:
                 cover[flat] = 1
                 comp_of[flat] = cid
-                count_of[flat] = min(cnt, 255)
+                count_of[flat] = cnt
             else:
                 if cover[flat] == 1:
                     multi[flat] = [comp_of[flat]]
@@ -362,11 +391,8 @@ def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True,
     if method not in ("expansion", "scan"):
         raise ValueError(f"unknown method {method!r}")
     check_radius(inst.t)
-    for comp in inst.components:
-        if comp.dim != inst.dim:
-            raise ValueError("component dimension differs from torus dimension")
-        if not comp.vertices:
-            raise ValueError("empty component")
+    if not all(comp.vertices for comp in inst.components):
+        raise ValueError("empty component")
     if method == "scan":
         violations = _verify_by_scan(inst)
     else:
@@ -389,18 +415,14 @@ def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
     tile_verts = tile.shape.vertices
     if not tile_verts or volume % len(tile_verts):
         return False
-    row_strides = strides(dims)
     covered = bytearray(volume)
     total = 0
-    for z in _kernel_elements(hom, dims):
-        for v in tile_verts:
-            flat = 0
-            for a, b, dim, s in zip(v, z, dims, row_strides):
-                flat += ((a + b) % dim) * s
+    for flats in shifted_flats(tile_verts, _kernel_elements(hom, dims), dims):
+        for flat in flats:
             if covered[flat]:
                 return False
             covered[flat] = 1
-            total += 1
+        total += len(flats)
     return total == volume
 
 

@@ -245,3 +245,18 @@ def test_verify_instance_with_distance_256(capsys, tmp_path):
                                 "components": [[[0]]]}))
     code, out, _ = invoke(capsys, "verify", str(path))
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("kind", ["instance", "construction"])
+def test_verify_rejects_box_spec_of_other_dimension(capsys, tmp_path, kind):
+    # both used to load and report component_not_box violations
+    if kind == "instance":
+        blob = dict(instantiate_on_torus(plc_n1(2)).to_json(), h={"extents": [1]})
+    else:
+        blob = dict(plc_n1(2).to_json(), h={"extents": [1, 1, 1]})
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("pdds verify:") and "box spec h has" in err
+    assert "Traceback" not in err

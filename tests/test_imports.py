@@ -1,8 +1,10 @@
-"""Every name a pdds module imports is used in that module.
+"""Every name a pdds module imports is used in that module, and every
+private module-level function or class is used somewhere in the package.
 
-No linter runs on this package, so this stdlib check catches imports left
-behind when code is deleted.  Names listed in a module's ``__all__`` count
-as used (the package ``__init__`` imports in order to re-export).
+No linter runs on this package, so these stdlib checks catch imports and
+helpers left behind when code is deleted.  Names listed in a module's
+``__all__`` count as used (the package ``__init__`` imports in order to
+re-export).  Tests do not count as callers of a private helper.
 """
 
 import ast
@@ -73,3 +75,42 @@ def test_check_sees_unused_and_used_imports():
               "import os.path\n__all__ = ['lcm']\n"
               "def f(x: 'Optional[int]'):\n    return gcd(x, 6)\n")
     assert _unused(source) == {"os": 3}
+
+
+def _private_without_caller(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no code refers to
+    outside their own definition, as ``module.name``."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            name = node.name
+            used = any(
+                (isinstance(n, ast.Name) and n.id == name)
+                or (isinstance(n, ast.Attribute) and n.attr == name)
+                for other in trees.values() for top in other.body if top is not node
+                for n in ast.walk(top))
+            if not used:
+                out.append(f"{mod}.{name}")
+    return out
+
+
+def test_every_private_helper_has_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _private_without_caller(sources) == []
+
+
+def test_check_sees_private_helpers_without_callers():
+    sources = {
+        "a": ("def _used():\n    return 1\n"
+              "def _self_only(n):\n    return _self_only(n - 1) if n else 0\n"
+              "class _Orphan:\n    pass\n"
+              "def __dunder__():\n    pass\n"
+              "def public():\n    return _used()\n"),
+        "b": "import a\nx = a._from_elsewhere\n",
+        "c": "def _from_elsewhere():\n    pass\n",
+    }
+    assert _private_without_caller(sources) == ["a._self_only", "a._Orphan"]

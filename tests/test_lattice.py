@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pdds.lattice import (
     BoxSpec,
@@ -9,6 +10,7 @@ from pdds.lattice import (
     box_shape,
     is_box,
     lee_distance,
+    shifted_flats,
     strides,
     t_neighborhood,
     translate,
@@ -155,3 +157,30 @@ def test_flat_index_is_lexicographic_order():
         for flat, p in enumerate(points):
             assert unflatten(flat, dims) == p
             assert sum(c * s for c, s in zip(p, row_strides)) == flat
+
+
+@st.composite
+def shift_cases(draw):
+    """1-3 axes of length 1-6; vertices and anchors with coordinates in
+    [-7, 7] (negative and unreduced), some anchors drawn twice, and either
+    list possibly empty."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(draw(st.integers(1, 3))))
+    point = st.tuples(*(st.integers(-7, 7) for _ in dims))
+    verts = draw(st.lists(point, max_size=6))
+    anchors = draw(st.lists(point, max_size=5))
+    if anchors:
+        anchors += draw(st.lists(st.sampled_from(anchors), max_size=3))
+    return dims, verts, draw(st.permutations(anchors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shift_cases())
+@example(((3, 4), [], [(0, 0), (-1, 9)]))            # no vertices
+@example(((3, 4), [(1, 2), (-4, 7)], []))            # no anchors
+@example(((2, 5), [(1, 1)], [(-7, 6), (-7, 6)]))     # one anchor twice
+def test_shifted_flats_matches_per_vertex_sum(case):
+    dims, verts, anchors = case
+    row_strides = strides(dims)
+    want = [[sum((vi + ai) % d * s for vi, ai, d, s in zip(v, a, dims, row_strides))
+             for v in verts] for a in anchors]
+    assert list(shifted_flats(verts, anchors, dims)) == want

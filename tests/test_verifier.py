@@ -1,10 +1,13 @@
 import itertools
 import random
+from math import prod
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pdds.abelian import Homomorphism, AbelianGroup, check_bijection, phi_eval
+from pdds.abelian import (Homomorphism, AbelianGroup, check_bijection, phi_eval,
+                          torus_periods)
 from pdds.constructions import (
     Construction,
     Tile,
@@ -17,18 +20,19 @@ from pdds.constructions import (
     pdds_t_path_2d,
     plc_n1,
 )
-from pdds.lattice import BoxSpec, Shape, box_shape, translate
+from pdds.lattice import BoxSpec, Shape, box_shape, strides, translate
 from pdds.verifier import (
     PDDSInstance,
     _box_extents,
     _circular_offsets,
     _kernel_elements,
+    coverage,
     instantiate_on_torus,
     is_lattice_like,
     verify_partition,
     verify_pdds,
 )
-from test_acceptance import corrupt_tile
+from test_acceptance import CATALOG, corrupt_tile, period_volume
 
 SMALL_CATALOG = [
     plc_n1(2),
@@ -422,3 +426,171 @@ def test_box_extents_match_brute_force(case):
     dims, verts = case
     assert _box_extents(Shape.of(verts), dims) == \
         _box_extents_by_brute_force(verts, dims)
+
+
+# --------------------------------------------------------------------------
+# The shift-based coverage, instantiate and partition paths against the
+# per-vertex loops they replaced, kept here as references.
+# --------------------------------------------------------------------------
+
+def _coverage_by_component(inst):
+    """Reference: each component's local map built from its own vertices,
+    written in component order."""
+    dims = inst.torus
+    row_strides = strides(dims)
+    offsets = _circular_offsets(dims, inst.t)
+    cover = bytearray(inst.volume)
+    comp_of = [-1] * inst.volume
+    count_of = bytearray(inst.volume)
+    multi = {}
+    for cid, comp in enumerate(inst.components):
+        local = {}
+        for w in comp.vertices:
+            for delta, d in offsets:
+                flat = 0
+                for a, b, dim, s in zip(w, delta, dims, row_strides):
+                    flat += ((a + b) % dim) * s
+                entry = local.get(flat)
+                if entry is None:
+                    local[flat] = [d, 1]
+                elif d < entry[0]:
+                    entry[0] = d
+                    entry[1] = 1
+                elif d == entry[0]:
+                    entry[1] += 1
+        for flat, (_, cnt) in local.items():
+            if cover[flat] == 0:
+                cover[flat] = 1
+                comp_of[flat] = cid
+                count_of[flat] = min(cnt, 255)
+            else:
+                if cover[flat] == 1:
+                    multi[flat] = [comp_of[flat]]
+                    cover[flat] = 2
+                multi[flat].append(cid)
+    return cover, comp_of, count_of, multi
+
+
+@st.composite
+def translate_instances(draw):
+    """Translates of one or two base shapes, in drawn (not canonical) order.
+
+    Coordinates are left unreduced (in [-14, 14] on axes of 1-6), so
+    translates straddle the seam and a base may hold one vertex twice mod
+    the torus; a component may be repeated, and t reaches past d/2.
+    """
+    n = draw(st.integers(1, 2))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n))
+    point = st.tuples(*(st.integers(-7, 7) for _ in dims))
+    bases = draw(st.lists(st.lists(point, min_size=1, max_size=3),
+                          min_size=1, max_size=2))
+    comps = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(point)
+        comps.append(Shape.of(tuple(map(add, v, a)) for v in draw(st.sampled_from(bases))))
+    if draw(st.booleans()):
+        comps.insert(draw(st.integers(0, len(comps))), draw(st.sampled_from(comps)))
+    t = draw(st.integers(0, max(dims)))
+    return PDDSInstance(dims, t, BoxSpec((1,) * n), comps)
+
+
+def _instance(dims, t, *comps):
+    return PDDSInstance(dims, t, BoxSpec((1,) * len(dims)), [Shape.of(c) for c in comps])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(small_instances(), translate_instances()))
+@example(_instance((5, 4), 1, [(6, -1), (7, -1)], [(1, 3), (2, 3)]))   # unreduced
+@example(_instance((5,), 1, [(0,), (1,)], [(3,)], [(0,), (1,)]))       # repeated
+@example(_instance((3,), 1, [(0,), (3,)], [(1,), (4,)]))               # twice mod 3
+@example(_instance((4, 3), 1, [(3, 0), (0, 0)], [(3, 2), (0, 2)]))     # across seam
+@example(_instance((4, 4), 3, [(0, 0)], [(2, 1)], [(1, 3)]))           # t >= d/2
+@example(_instance((6,), 1, [(0,), (1,)], [(2,)], [(3,), (4,)]))       # classes interleave
+def test_coverage_matches_per_component_reference(inst):
+    assert coverage(inst) == _coverage_by_component(inst)
+
+
+def _instantiate_by_frozenset(con, dims):
+    """Reference: every kernel translate of every component, deduplicated."""
+    placed = set()
+    for z in _kernel_elements(con.hom, dims):
+        for comp in con.tile.components():
+            placed.add(frozenset(
+                tuple((a + b) % d for a, b, d in zip(v, z, dims)) for v in comp.vertices))
+    return sorted((Shape.of(c, dim=len(dims)) for c in placed), key=lambda s: s.vertices)
+
+
+SMALL_TORUS_CATALOG = [(name, con) for name, con in CATALOG
+                       if period_volume(con) <= 20_000]
+
+
+def test_instantiate_matches_frozenset_reference():
+    assert len(SMALL_TORUS_CATALOG) >= 80
+    for name, con in SMALL_TORUS_CATALOG:
+        periods = torus_periods(con.hom)
+        for m in (1, 2, 3):
+            dims = tuple(d * m for d in periods)
+            inst = instantiate_on_torus(con, dims)
+            assert inst.components == _instantiate_by_frozenset(con, dims), (name, m)
+
+
+def _partition_by_vertex(inst, tile, hom):
+    """Reference: each kernel translate's flat indices one vertex at a time."""
+    dims = inst.torus
+    tile_verts = tile.shape.vertices
+    if not tile_verts or inst.volume % len(tile_verts):
+        return False
+    row_strides = strides(dims)
+    covered = bytearray(inst.volume)
+    total = 0
+    for z in _kernel_elements(hom, dims):
+        for v in tile_verts:
+            flat = 0
+            for a, b, dim, s in zip(v, z, dims, row_strides):
+                flat += ((a + b) % dim) * s
+            if covered[flat]:
+                return False
+            covered[flat] = 1
+            total += 1
+    return total == inst.volume
+
+
+def test_verify_partition_matches_per_vertex_reference():
+    rng = random.Random(6006)
+    verdicts = set()
+    for name, con in SMALL_TORUS_CATALOG:
+        inst = instantiate_on_torus(con)
+        verts = con.tile.shape.vertices[:-1]
+        short = Tile(Shape.of(verts, dim=inst.dim), {v: con.tile.labels[v] for v in verts})
+        for tile in (con.tile, short, *(corrupt_tile(con.tile, rng) for _ in range(3))):
+            got = verify_partition(inst, tile, con.hom)
+            assert got == _partition_by_vertex(inst, tile, con.hom), name
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_wrong_dimension_component_raises_on_both_paths():
+    inst = PDDSInstance((5, 5), 1, BoxSpec((1, 1)), [Shape.of([(0, 0, 0)])])
+    for method in ("expansion", "scan"):
+        with pytest.raises(ValueError):
+            verify_pdds(inst, method=method)
+    with pytest.raises(ValueError, match="component dimension differs"):
+        coverage(inst)
+
+
+@pytest.mark.parametrize("extents", [[1], [1, 1, 1]])
+def test_instance_json_rejects_box_spec_of_other_dimension(extents):
+    # [1] on plc1(n=2)'s 2-D torus used to load and fail with 5
+    # component_not_box violations
+    blob = instantiate_on_torus(plc_n1(2)).to_json()
+    with pytest.raises(ValueError, match=f"box spec h has {len(extents)} axes, torus has 2"):
+        PDDSInstance.from_json(dict(blob, h={"extents": extents}))
+
+
+@pytest.mark.parametrize("extents", [[1], [1, 1, 1]])
+def test_construction_json_rejects_box_spec_of_other_dimension(extents):
+    # [1, 1, 1] on plc1(n=2)'s 2-D tile used to load, instantiate and fail
+    # verification with component_not_box violations
+    blob = plc_n1(2).to_json()
+    with pytest.raises(ValueError, match=f"box spec h has {len(extents)} axes, tile has 2"):
+        Construction.from_json(dict(blob, h={"extents": extents}))
