@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import gcd
+from operator import sub
 from typing import Callable, Optional, Sequence
 
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
@@ -114,12 +115,9 @@ class Construction:
         tile = Tile.from_json(obj["tile"])
         if h_spec.dim != tile.shape.dim:
             raise ValueError(f"box spec h has {h_spec.dim} axes, tile has {tile.shape.dim}")
-        return cls(
-            t=check_radius(obj.get("t")),
-            h_spec=h_spec,
-            tile=tile,
-            hom=Homomorphism.from_json(obj["hom"]),
-        )
+        t = check_radius(obj.get("t"))
+        _check_labels(tile, t)
+        return cls(t=t, h_spec=h_spec, tile=tile, hom=Homomorphism.from_json(obj["hom"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -127,6 +125,35 @@ class Construction:
     @classmethod
     def loads(cls, text: str) -> "Construction":
         return cls.from_json(json.loads(text))
+
+
+def _check_labels(tile: Tile, t: int) -> None:
+    """ValueError unless every tile label names a device the tile can trust.
+
+    The label ``(cid, device)`` of tile vertex u passes when the device is a
+    tile vertex labelled ``(cid, device)`` itself, and is the unique nearest
+    vertex of component cid to u on Z^n, within distance t.  Then every
+    component lies inside the tile, which ``instantiate_on_torus`` needs,
+    and decoding a tile vertex returns a device that serves it.
+    """
+    labels = tile.labels
+    comps: dict[int, list[Point]] = {}
+    for v, (cid, dev) in labels.items():
+        if dev == v:
+            comps.setdefault(cid, []).append(v)
+    for u, (cid, dev) in labels.items():
+        if labels.get(dev) != (cid, dev):
+            raise ValueError(f"tile label of {u} names device {dev} of component "
+                             f"{cid}, which is not a tile vertex labelled as a "
+                             f"device of component {cid}")
+        # l1 sums inline: lee_distance's checks would cost more than the
+        # rest of loading the construction.
+        best = sum(map(abs, map(sub, u, dev)))
+        for w in comps[cid]:
+            if best > t or (w != dev and sum(map(abs, map(sub, u, w))) <= best):
+                raise ValueError(f"tile label of {u} names device {dev}, which is "
+                                 f"not the unique nearest vertex of component {cid} "
+                                 f"within distance {t}")
 
 
 def _nearest_in(copy: Shape, v: Point) -> Point:

@@ -24,14 +24,19 @@ import json
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
 from math import prod
-from operator import mod, sub
-from typing import Iterator, Optional, Sequence
+from operator import add, mod, sub
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .abelian import (Homomorphism, check_bijection, check_periods,
-                      torus_periods)
+                      syndrome_columns, syndrome_rank, torus_periods)
 from .constructions import Construction, Tile
 from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus,
                       lee_distance, shifted_flats, unflatten)
+
+# The largest torus the verifier allocates per-vertex arrays for: coverage
+# keeps about 10 bytes a vertex, so about 170 MB.  The test suite's largest
+# torus has 1.87 million vertices.
+MAX_VOLUME = 1 << 24
 
 
 @dataclass
@@ -101,6 +106,13 @@ class VerificationReport:
         return json.dumps(self.to_json(), indent=2)
 
 
+def _check_volume(dims: Sequence[int]) -> None:
+    """ValueError for a torus above MAX_VOLUME, before anything is allocated."""
+    if prod(dims) > MAX_VOLUME:
+        raise ValueError(f"torus {tuple(dims)} has {prod(dims)} vertices, more than "
+                         f"the verifier's limit of {MAX_VOLUME}")
+
+
 # --------------------------------------------------------------------------
 # Syndrome iteration over a torus.
 # --------------------------------------------------------------------------
@@ -108,38 +120,22 @@ class VerificationReport:
 def _kernel_elements(hom: Homomorphism, dims: tuple[int, ...]) -> Iterator[Point]:
     """All torus vertices mapping to the identity, in lexicographic order.
 
-    Walks the torus in odometer order keeping the group image as a
-    mixed-radix rank; each step re-ranks through precomputed per-axis
-    addition tables, so the scan is a table lookup per changed axis rather
-    than a fresh evaluation per vertex.
+    Solves for the last coordinate per prefix p of the others: (p, x) is in
+    the kernel exactly when phi(p, 0) = phi(0, ..., 0, -x).  One table maps
+    the rank of each phi(0, ..., 0, -x), x in [0, d_n), to its x values in
+    increasing order, so the walk visits volume / d_n prefixes, not every
+    torus vertex.
     """
-    group = hom.group
-    order = group.order
-    n = len(dims)
-    # add_table[i][r] = rank of (element_from_rank(r) + g_i)
-    add_table = []
-    for g in hom.generators:
-        table = [0] * order
-        for r, elem in enumerate(group.elements()):
-            table[r] = group.element_rank(group.add(elem, g))
-        add_table.append(table)
-    coords = [0] * n
-    rank = 0
-    total = prod(dims)
-    for _ in range(total):
-        if rank == 0:
-            yield tuple(coords)
-        # Odometer increment, last axis fastest.  Wrapping an axis leaves a
-        # net d_i * g_i = 0 added over the full cycle, so updating the rank
-        # once per changed axis keeps it consistent.
-        i = n - 1
-        while i >= 0:
-            rank = add_table[i][rank]
-            coords[i] += 1
-            if coords[i] < dims[i]:
-                break
-            coords[i] = 0
-            i -= 1
+    columns = syndrome_columns(hom)
+    zeros = (0,) * (len(dims) - 1)
+    solve: dict[int, list[int]] = {}
+    for x in range(dims[-1]):
+        solve.setdefault(syndrome_rank(columns, zeros + (-x,)), []).append(x)
+    # The columns without the last generator rank phi(p, 0) from p alone.
+    head = tuple((m, col[:-1]) for m, col in columns)
+    for prefix in _cartesian(*map(range, dims[:-1])):
+        for x in solve.get(syndrome_rank(head, prefix), ()):
+            yield prefix + (x,)
 
 
 def instantiate_on_torus(construction: Construction,
@@ -150,14 +146,20 @@ def instantiate_on_torus(construction: Construction,
     (the smallest torus it descends to).  Every supplied dimension must be
     annihilated by the corresponding generator image.  The instance's
     components are the kernel-translates of the tile's components, in
-    canonical order.  None repeats: the tile maps bijectively onto the
-    group and the torus is a period multiple, so the tile's translates
-    partition the torus, and each component lies inside the tile (as in
-    every catalog construction, where a component vertex is its own device).
+    canonical order.
+
+    Precondition: every component lies inside the tile (each device is a
+    tile vertex).  The tile maps bijectively onto the group (checked here)
+    and the torus is a period multiple, so the tile's translates partition
+    the torus; then no translate repeats and its vertices are distinct mod
+    the torus, so shapes are built without a dedupe.  The catalog builders
+    label through ``constructions._assemble_tile``, and
+    ``Construction.from_json`` rejects labels that break the precondition.
     """
     hom = construction.hom
     periods = torus_periods(hom)
     dims = periods if torus is None else check_periods(periods, torus)
+    _check_volume(dims)
 
     # A tile that no longer maps bijectively cannot tile anything.
     res = check_bijection(hom, construction.tile.shape.vertices)
@@ -166,14 +168,11 @@ def instantiate_on_torus(construction: Construction,
                          f"onto the group: {res}")
 
     kernel = list(_kernel_elements(hom, dims))
-    # Row-major flat order is lexicographic, so sorted flat tuples order
-    # the components as their sorted vertex tuples would.
-    placed = sorted(tuple(sorted(flats))
-                    for comp in construction.tile.components()
-                    for flats in shifted_flats(comp.vertices, kernel, dims))
-    components = [Shape.of((unflatten(f, dims) for f in flats), dim=len(dims))
-                  for flats in placed]
-    return PDDSInstance(dims, construction.t, construction.h_spec, components)
+    placed = sorted(tuple(sorted(tuple(map(mod, map(add, v, k), dims))
+                                 for v in comp.vertices))
+                    for comp in construction.tile.components() for k in kernel)
+    return PDDSInstance(dims, construction.t, construction.h_spec,
+                        [Shape(len(dims), verts) for verts in placed])
 
 
 # --------------------------------------------------------------------------
@@ -215,21 +214,32 @@ def _box_extents(comp: Shape, dims: tuple[int, ...]) -> Optional[tuple[int, ...]
     return tuple(extents) if prod(extents) == len(comp) else None
 
 
-def _box_violations(inst: PDDSInstance) -> list[Violation]:
+def _box_violations(inst: PDDSInstance, class_of: list[int]) -> list[Violation]:
+    """component_not_box violations, in component order.
+
+    Members of one translation class (``class_of``, from
+    :func:`_translation_classes`) are the same vertex set moved on the
+    torus, so ``_box_extents`` runs once per class, on its first member;
+    every failing member still gets its own vertex and message.
+    """
     want = tuple(sorted(inst.h_spec.extents))
+    details: list[Optional[str]] = []   # per class: the failure, or None
     out = []
-    for cid, comp in enumerate(inst.components):
-        extents = _box_extents(comp, inst.torus)
-        if extents is None:
-            out.append(Violation(
-                comp.vertices[0], "component_not_box",
-                f"component {cid} ({len(comp)} vertices) does not induce an "
-                f"axis-aligned box on the torus"))
-        elif tuple(sorted(extents)) != want:
-            out.append(Violation(
-                comp.vertices[0], "component_not_box",
-                f"component {cid} is a box of extents {extents}, not an "
-                f"axis permutation of {inst.h_spec.extents}"))
+    for cid, k in enumerate(class_of):
+        comp = inst.components[cid]
+        if k == len(details):           # classes are numbered by first member
+            extents = _box_extents(comp, inst.torus)
+            if extents is None:
+                details.append(f"({len(comp)} vertices) does not induce an "
+                               f"axis-aligned box on the torus")
+            elif tuple(sorted(extents)) != want:
+                details.append(f"is a box of extents {extents}, not an "
+                               f"axis permutation of {inst.h_spec.extents}")
+            else:
+                details.append(None)
+        if details[k] is not None:
+            out.append(Violation(comp.vertices[0], "component_not_box",
+                                 f"component {cid} {details[k]}"))
     return out
 
 
@@ -277,6 +287,42 @@ def _verify_by_scan(inst: PDDSInstance) -> list[Violation]:
     return violations
 
 
+class _Classes(NamedTuple):
+    keys: list[tuple[Point, ...]]
+    anchors: list[list[Point]]
+    class_of: list[int]
+
+
+def _translation_classes(inst: PDDSInstance) -> _Classes:
+    """The components grouped by vertex set modulo torus translation.
+
+    A class key is a component's vertex offsets from its first vertex, mod
+    the torus, in vertex order; translates that wrap differently may get
+    separate keys, which is still correct.  Classes are numbered in order of
+    their first member: ``keys[k]`` is class k's key, ``anchors[k]`` its
+    members' first vertices in component order, and ``class_of[cid]`` the
+    class of component cid.  Raises ValueError for a component whose
+    dimension is not the torus's and for a torus above ``MAX_VOLUME``:
+    every verify path starts here.
+    """
+    dims = inst.torus
+    if any(comp.dim != inst.dim for comp in inst.components):
+        raise ValueError("component dimension differs from torus dimension")
+    _check_volume(dims)
+    index: dict[tuple[Point, ...], int] = {}
+    anchors: list[list[Point]] = []
+    class_of = []
+    for comp in inst.components:
+        base = comp.vertices[0] if comp.vertices else (0,) * len(dims)
+        key = tuple(tuple(map(mod, map(sub, v, base), dims)) for v in comp.vertices)
+        k = index.setdefault(key, len(anchors))
+        if k == len(anchors):
+            anchors.append([])
+        anchors[k].append(base)
+        class_of.append(k)
+    return _Classes(list(index), anchors, class_of)
+
+
 def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
                                           dict[int, list[int]]]:
     """The service map: which components reach each torus vertex within t.
@@ -286,31 +332,24 @@ def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
     several components within distance t; at 1, ``comp_of[f]`` is that
     component and ``count_of[f]`` its number of nearest vertices (capped at
     255); at 2, ``multi[f]`` lists every such component in order.  Raises
-    ValueError for a component whose dimension is not the torus's.
+    ValueError for a component whose dimension is not the torus's and for a
+    torus of more than ``MAX_VOLUME`` vertices.
+    """
+    return _coverage(inst, _translation_classes(inst))
+
+
+def _coverage(inst: PDDSInstance, classes: _Classes):
+    """:func:`coverage` from the instance's translation classes.
+
+    Members of a class are translates: one local map, shifted to each
+    member's first vertex, serves the whole class.
     """
     dims = inst.torus
-    if any(comp.dim != inst.dim for comp in inst.components):
-        raise ValueError("component dimension differs from torus dimension")
     volume = inst.volume
     offsets = _circular_offsets(dims, inst.t)
 
-    # Components with the same vertex offsets from their first vertex (mod
-    # the torus, in vertex order) are translates: one local map, shifted to
-    # each member's first vertex, serves the whole class.
-    classes: dict[tuple[Point, ...], int] = {}
-    anchors: list[list[Point]] = []
-    class_of = []
-    for comp in inst.components:
-        base = comp.vertices[0] if comp.vertices else (0,) * len(dims)
-        key = tuple(tuple(map(mod, map(sub, v, base), dims)) for v in comp.vertices)
-        k = classes.setdefault(key, len(anchors))
-        if k == len(anchors):
-            anchors.append([])
-        anchors[k].append(base)
-        class_of.append(k)
-
     shifts = []
-    for key, k in classes.items():
+    for key, anchors in zip(classes.keys, classes.anchors):
         local: dict[Point, list[int]] = {}   # cell -> [least distance, count]
         for w in key:
             for delta, d in offsets:
@@ -324,7 +363,7 @@ def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
                 elif d == entry[0]:
                     entry[1] += 1
         counts = [min(cnt, 255) for _, cnt in local.values()]
-        shifts.append((shifted_flats(list(local), anchors[k], dims), counts))
+        shifts.append((shifted_flats(list(local), anchors, dims), counts))
 
     cover = bytearray(volume)          # 0, 1, or 2 components saturating
     comp_of = [-1] * volume
@@ -334,7 +373,7 @@ def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
     # Components are written in order (each class's generator advanced in
     # turn), so the first component to reach a cell owns it, as in a plain
     # per-component loop.
-    for cid, k in enumerate(class_of):
+    for cid, k in enumerate(classes.class_of):
         flats, counts = shifts[k]
         for flat, cnt in zip(next(flats), counts):
             if cover[flat] == 0:
@@ -349,10 +388,10 @@ def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
     return cover, comp_of, count_of, multi
 
 
-def _verify_by_expansion(inst: PDDSInstance) -> list[Violation]:
+def _verify_by_expansion(inst: PDDSInstance, classes: _Classes) -> list[Violation]:
     """Fast path: read the violations off the :func:`coverage` arrays."""
     dims = inst.torus
-    cover, comp_of, count_of, multi = coverage(inst)
+    cover, comp_of, count_of, multi = _coverage(inst, classes)
     violations = []
     for flat, state in enumerate(cover):
         if state == 1 and count_of[flat] == 1:
@@ -386,19 +425,22 @@ def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True,
     not induce an axis-aligned box.  ``method`` selects the code path:
     "expansion" (component neighborhoods outward; the default) or "scan"
     (the brute-force reference).  The report passes exactly when
-    no violations are found.
+    no violations are found.  The components are grouped into translation
+    classes once; the expansion and the box check both read that grouping.
+    Raises ValueError for a torus of more than ``MAX_VOLUME`` vertices.
     """
     if method not in ("expansion", "scan"):
         raise ValueError(f"unknown method {method!r}")
     check_radius(inst.t)
     if not all(comp.vertices for comp in inst.components):
         raise ValueError("empty component")
+    classes = _translation_classes(inst)
     if method == "scan":
         violations = _verify_by_scan(inst)
     else:
-        violations = _verify_by_expansion(inst)
+        violations = _verify_by_expansion(inst, classes)
     if strict_box:
-        violations.extend(_box_violations(inst))
+        violations.extend(_box_violations(inst, classes.class_of))
     violations.sort(key=lambda v: (v.vertex, v.kind))
     return VerificationReport(not violations, violations)
 
@@ -411,6 +453,7 @@ def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
     tile-to-group bijection: it holds iff check_bijection reports ok.
     """
     dims = check_periods(torus_periods(hom), inst.torus)
+    _check_volume(dims)
     volume = prod(dims)
     tile_verts = tile.shape.vertices
     if not tile_verts or volume % len(tile_verts):

@@ -260,3 +260,29 @@ def test_verify_rejects_box_spec_of_other_dimension(capsys, tmp_path, kind):
     assert code == 1 and out == ""
     assert err.startswith("pdds verify:") and "box spec h has" in err
     assert "Traceback" not in err
+
+
+def test_verify_rejects_oversized_torus_without_traceback(capsys, tmp_path):
+    # used to raise MemoryError, which main printed as a traceback
+    blob = dict(instantiate_on_torus(plc_n1(2)).to_json(), torus=[1_000_000, 1_000_000])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("pdds verify:") and "limit" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "decode"])
+def test_untrusted_device_label_exits_one(capsys, tmp_path, command):
+    # plc1(n=2) with the device of (1, 0) moved to (2, 2) used to decode
+    # (1, 0) to (2, 2), at distance 3 > t
+    blob = plc_n1(2).to_json()
+    for entry in blob["tile"]["labels"]:
+        if entry["v"] == [1, 0]:
+            entry["device"] = [2, 2]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    extra = ["--vertex", "1,0"] if command == "decode" else []
+    code, out, err = invoke(capsys, command, str(path), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"pdds {command}:") and "device (2, 2)" in err

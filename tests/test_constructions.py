@@ -15,6 +15,7 @@ from pdds.constructions import (
     plc_n1,
 )
 from pdds.lattice import BoxSpec, is_box
+from test_acceptance import CATALOG
 
 
 def test_family_registry_is_complete():
@@ -259,3 +260,40 @@ def test_lattice_like_is_derived_from_the_tile():
     assert not Construction.from_json(dict(blob, lattice_like=True)).lattice_like
     single = pdds_t_path_2d(2, 3, "single_copy").to_json()
     assert Construction.from_json(dict(single, lattice_like=False)).lattice_like
+
+
+def test_construction_json_accepts_every_catalog_tile():
+    assert len(CATALOG) == 100
+    for name, c in CATALOG:
+        assert Construction.loads(c.dumps()).tile.labels == c.tile.labels, name
+
+
+def _relabel(blob, v, device):
+    for entry in blob["tile"]["labels"]:
+        if entry["v"] == list(v):
+            entry["device"] = list(device)
+    return blob
+
+
+def test_construction_json_rejects_untrusted_device_labels():
+    # plc1(n=2) with the device of (1, 0) moved to (2, 2) used to load and
+    # decode (1, 0) to (2, 2), at distance 3 > t
+    plc = plc_n1(2)
+    with pytest.raises(ValueError, match=r"device \(2, 2\) of component 0, which is "
+                       "not a tile vertex labelled as a device"):
+        Construction.from_json(_relabel(plc.to_json(), (1, 0), (2, 2)))
+    # the device is a component vertex, but not the nearest one to u
+    c = pdds_t_path_2d(2, 3, "two_copy")
+    u, (cid, dev) = next((u, lab) for u, lab in sorted(c.tile.labels.items())
+                         if u != lab[1])
+    far = max(c.tile.component(cid).vertices,
+              key=lambda w: sum(abs(a - b) for a, b in zip(u, w)))
+    with pytest.raises(ValueError, match="not the unique nearest vertex"):
+        Construction.from_json(_relabel(c.to_json(), u, far))
+    # the device of another component, under this component's id
+    other = next(d for _, (k, d) in c.tile.labels.items() if k != cid)
+    with pytest.raises(ValueError, match="not a tile vertex labelled"):
+        Construction.from_json(_relabel(c.to_json(), u, other))
+    # the nearest vertex, but farther than t
+    with pytest.raises(ValueError, match="within distance 0"):
+        Construction.from_json(dict(plc.to_json(), t=0))

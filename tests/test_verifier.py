@@ -4,7 +4,7 @@ from math import prod
 from operator import add
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pdds.abelian import (Homomorphism, AbelianGroup, check_bijection, phi_eval,
                           torus_periods)
@@ -22,17 +22,21 @@ from pdds.constructions import (
 )
 from pdds.lattice import BoxSpec, Shape, box_shape, strides, translate
 from pdds.verifier import (
+    MAX_VOLUME,
     PDDSInstance,
+    Violation,
     _box_extents,
+    _box_violations,
     _circular_offsets,
     _kernel_elements,
+    _translation_classes,
     coverage,
     instantiate_on_torus,
     is_lattice_like,
     verify_partition,
     verify_pdds,
 )
-from test_acceptance import CATALOG, corrupt_tile, period_volume
+from test_acceptance import CATALOG, VERIFY_CAP, corrupt_tile, period_volume
 
 SMALL_CATALOG = [
     plc_n1(2),
@@ -56,6 +60,34 @@ def test_kernel_elements_match_brute_force():
                 if phi_eval(c.hom, v) == c.hom.group.identity()]
         assert got == want
         assert len(got) == inst.volume // c.hom.group.order
+
+
+@st.composite
+def kernel_cases(draw):
+    """A homomorphism from Z^1..3 into 1-3 cyclic factors of modulus <= 7,
+    on a torus whose axes are 1-3 times its periods; the last generator
+    is 0 in about half of them."""
+    moduli = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    gens = [tuple(draw(st.integers(0, m - 1)) for m in moduli)
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        gens[-1] = (0,) * len(moduli)
+    hom = Homomorphism(AbelianGroup(moduli), tuple(gens))
+    dims = tuple(p * draw(st.integers(1, 3)) for p in torus_periods(hom))
+    assume(prod(dims) <= 6000)
+    return hom, dims
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@example((Homomorphism(AbelianGroup((6,)), ((2,),)), (6,)))              # one axis
+@example((Homomorphism(AbelianGroup((5,)), ((1,), (0,))), (5, 2)))       # last gen 0
+@example((Homomorphism(AbelianGroup((2, 3)), ((1, 1), (0, 2))), (2, 6)))
+def test_kernel_walk_matches_brute_force_in_order(case):
+    hom, dims = case
+    want = [v for v in itertools.product(*(range(d) for d in dims))
+            if phi_eval(hom, v) == hom.group.identity()]
+    assert list(_kernel_elements(hom, dims)) == want
 
 
 def test_instantiate_q3_default_torus():
@@ -498,16 +530,54 @@ def _instance(dims, t, *comps):
     return PDDSInstance(dims, t, BoxSpec((1,) * len(dims)), [Shape.of(c) for c in comps])
 
 
+def _coverage_examples(test):
+    """The explicit instances the class-sharing tests always run."""
+    for inst in (
+        _instance((5, 4), 1, [(6, -1), (7, -1)], [(1, 3), (2, 3)]),   # unreduced
+        _instance((5,), 1, [(0,), (1,)], [(3,)], [(0,), (1,)]),       # repeated
+        _instance((3,), 1, [(0,), (3,)], [(1,), (4,)]),               # twice mod 3
+        _instance((4, 3), 1, [(3, 0), (0, 0)], [(3, 2), (0, 2)]),     # across seam
+        _instance((4, 4), 3, [(0, 0)], [(2, 1)], [(1, 3)]),           # t >= d/2
+        _instance((6,), 1, [(0,), (1,)], [(2,)], [(3,), (4,)]),       # classes interleave
+    ):
+        test = example(inst)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(small_instances(), translate_instances()))
-@example(_instance((5, 4), 1, [(6, -1), (7, -1)], [(1, 3), (2, 3)]))   # unreduced
-@example(_instance((5,), 1, [(0,), (1,)], [(3,)], [(0,), (1,)]))       # repeated
-@example(_instance((3,), 1, [(0,), (3,)], [(1,), (4,)]))               # twice mod 3
-@example(_instance((4, 3), 1, [(3, 0), (0, 0)], [(3, 2), (0, 2)]))     # across seam
-@example(_instance((4, 4), 3, [(0, 0)], [(2, 1)], [(1, 3)]))           # t >= d/2
-@example(_instance((6,), 1, [(0,), (1,)], [(2,)], [(3,), (4,)]))       # classes interleave
+@_coverage_examples
 def test_coverage_matches_per_component_reference(inst):
     assert coverage(inst) == _coverage_by_component(inst)
+
+
+def _box_violations_by_component(inst):
+    """Reference: the box check run on every component on its own."""
+    want = tuple(sorted(inst.h_spec.extents))
+    out = []
+    for cid, comp in enumerate(inst.components):
+        extents = _box_extents(comp, inst.torus)
+        if extents is None:
+            out.append(Violation(
+                comp.vertices[0], "component_not_box",
+                f"component {cid} ({len(comp)} vertices) does not induce an "
+                f"axis-aligned box on the torus"))
+        elif tuple(sorted(extents)) != want:
+            out.append(Violation(
+                comp.vertices[0], "component_not_box",
+                f"component {cid} is a box of extents {extents}, not an "
+                f"axis permutation of {inst.h_spec.extents}"))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(translate_instances())
+@_coverage_examples
+@example(_instance((5, 5), 1, [(0, 0), (1, 1)], [(0, 1)], [(2, 0), (3, 1)],
+                   [(6, 2), (7, 3)]))                                  # non-box class of 3
+def test_box_check_per_class_matches_per_component_reference(inst):
+    got = _box_violations(inst, _translation_classes(inst).class_of)
+    assert got == _box_violations_by_component(inst)
 
 
 def _instantiate_by_frozenset(con, dims):
@@ -594,3 +664,16 @@ def test_construction_json_rejects_box_spec_of_other_dimension(extents):
     blob = plc_n1(2).to_json()
     with pytest.raises(ValueError, match=f"box spec h has {len(extents)} axes, tile has 2"):
         Construction.from_json(dict(blob, h={"extents": extents}))
+
+
+def test_oversized_torus_is_rejected_before_allocating():
+    # (10^6, 10^6) used to raise MemoryError out of coverage
+    assert VERIFY_CAP < MAX_VOLUME
+    huge = (1_000_000, 1_000_000)
+    inst = PDDSInstance(huge, 1, BoxSpec((1, 1)), [Shape.of([(0, 0)])])
+    c = plc_n1(2)
+    for call in (lambda: verify_pdds(inst), lambda: verify_pdds(inst, method="scan"),
+                 lambda: coverage(inst), lambda: verify_partition(inst, c.tile, c.hom),
+                 lambda: instantiate_on_torus(c, huge)):
+        with pytest.raises(ValueError, match="more than the verifier's limit"):
+            call()
