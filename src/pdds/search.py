@@ -4,11 +4,14 @@ The defining property partitions the torus into the t-neighborhoods of the
 components, so existence of a t-PDDS[H] is an exact-cover question: choose
 box placements whose neighborhoods tile the vertex set.  The search
 enumerates every allowed placement as flat torus indices, then runs a
-deterministic destructive backtracker over bit-vector cell sets, always
-branching on the lowest uncovered vertex in canonical order.  A "found"
-result carries a verified instance; "exhausted" means the enumeration
-completed and is a proof of nonexistence on that torus (for the given
-orientation set).
+deterministic backtracker (Algorithm X in bitset form; Knuth, "Dancing
+Links", arXiv:cs/0011047), always branching on the lowest uncovered vertex
+and trying its placements in canonical order.  Its state is a cell bitset
+(the cover) and a placement bitset (the placements that still fit), so one
+AND gives a branch vertex's candidates; each placement's conflict mask is
+built the first time it is placed.  A "found" result carries a verified
+instance; "exhausted" means the enumeration completed and is a proof of
+nonexistence on that torus (for the given orientation set).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import prod
 from typing import NamedTuple, Optional
 
 from .lattice import (BoxSpec, Shape, box_shape, check_radius, check_torus,
-                      shifted_flats, t_neighborhood, unflatten)
+                      is_int, shifted_flats, t_neighborhood, unflatten)
 from .verifier import PDDSInstance, verify_pdds
 
 DEFAULT_MAX_CELLS = 4096
@@ -41,8 +44,11 @@ class SearchProblem:
     orientations: str = "all_axis_permutations"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "torus",
-                           check_torus(self.h_spec.dim, tuple(self.torus)))
+        torus = tuple(self.torus)
+        if len(torus) != self.h_spec.dim:
+            raise ValueError(f"box spec h has {self.h_spec.dim} axes, "
+                             f"torus has {len(torus)}")
+        object.__setattr__(self, "torus", check_torus(self.h_spec.dim, torus))
         check_radius(self.t)
         if self.orientations not in ("all_axis_permutations", "fixed"):
             raise ValueError(f"unknown orientation mode {self.orientations!r}")
@@ -69,12 +75,15 @@ class SearchResult:
     instance: Optional[PDDSInstance]
     nodes_explored: int
     wall_time_ms: int
+    # decided_by ("divisibility" | "search"), placements, placements_ms, dfs_ms
+    stats: dict
 
     def to_json(self) -> dict:
         return {
             "outcome": self.outcome,
             "nodes_explored": self.nodes_explored,
             "wall_time_ms": self.wall_time_ms,
+            "stats": dict(self.stats),
             "instance": None if self.instance is None else self.instance.to_json(),
         }
 
@@ -137,47 +146,76 @@ def enumerate_placements(problem: SearchProblem) -> list[Placement]:
     return [Placement(*p) for p in sorted(found)]
 
 
-def _dfs(masks: list[int], by_vertex: list[list[int]],
-         full: int) -> tuple[Optional[list[int]], int]:
-    """Deterministic backtracker from the empty cover.
+def _dfs(placements: list[Placement],
+         volume: int) -> tuple[Optional[list[int]], int]:
+    """Deterministic least-cell backtracker over placement bitsets.
 
-    Branches on the lowest uncovered vertex; placements are tried in
-    canonical (index) order.  Returns (solution or None, nodes), where nodes
-    counts every placement tried; the count is a pure function of the
-    problem, independent of timing.  Iterative so that deep covers
-    (thousands of small placements) cannot hit the recursion limit.
+    ``on_cell[c]`` is the bitset of the placements whose cells include c,
+    and p's conflict mask is the OR of ``on_cell`` over p's cells (so p
+    itself is in it).  ``alive`` holds the placements that share no cell
+    with a placed one, i.e. those that fit the cover.  Each frame branches
+    on the lowest uncovered cell v and tries ``on_cell[v] & alive`` lowest
+    bit first, in canonical (index) order; placing p ORs p's cells into the
+    cover and clears p's conflict mask from ``alive``.  This is the tree of
+    trying, at v, every placement that covers v and fits, so the nodes and
+    any solution are those of a cover-testing walk over each cell's
+    placements.
+
+    A placement's cell mask and conflict mask (kept complemented) are
+    built when it is first placed, so only placements the walk reaches pay
+    for a len(placements)-bit mask; eager masks for all 12,288 placements
+    of a domino on (16, 16, 16) would take about 19 MB.
+
+    Returns (solution or None, nodes), where nodes counts every placement
+    tried; the count is a pure function of the problem, independent of
+    timing.  Iterative so that deep covers (thousands of small placements)
+    cannot hit the recursion limit.
     """
+    on_cell = [0] * volume
+    for i, pl in enumerate(placements):
+        bit = 1 << i
+        for c in pl.cells:
+            on_cell[c] |= bit
+    everyone = (1 << len(placements)) - 1
+    # (cell mask, complement of the conflict mask), built on first placement
+    masks: list[Optional[tuple[int, int]]] = [None] * len(placements)
+    full = (1 << volume) - 1
     nodes = 0
     path: list[int] = []
-    covers = [0]
-    # Each frame is [candidate placement list, cursor] for one branch vertex.
-    stack: list[list] = [[by_vertex[0], 0]]
-    while stack:
-        frame = stack[-1]
-        candidates, idx = frame
-        placed = False
-        while idx < len(candidates):
-            p = candidates[idx]
-            idx += 1
-            if masks[p] & covers[-1]:
-                continue
-            frame[1] = idx
-            nodes += 1
-            path.append(p)
-            nxt = covers[-1] | masks[p]
-            if nxt == full:
-                return path, nodes
-            covers.append(nxt)
-            uncovered = ~nxt & full
-            v = (uncovered & -uncovered).bit_length() - 1
-            stack.append([by_vertex[v], 0])
-            placed = True
-            break
-        if not placed:
-            stack.pop()
-            if stack:
+    # One frame per branch cell: its untried candidates, and the cover and
+    # alive set of the path that reached it.  A placement that leaves the
+    # next branch cell no candidate is counted and dropped without a frame.
+    frames = [[on_cell[0], 0, everyone]]
+    while frames:
+        frame = frames[-1]
+        cand, cover, alive = frame
+        if not cand:
+            frames.pop()
+            if path:
                 path.pop()
-                covers.pop()
+            continue
+        low = cand & -cand
+        frame[0] = cand ^ low
+        p = low.bit_length() - 1
+        nodes += 1
+        pm = masks[p]
+        if pm is None:
+            cells = placements[p].cells
+            conflict = 0
+            for c in cells:
+                conflict |= on_cell[c]
+            pm = masks[p] = (sum(1 << c for c in cells), everyone ^ conflict)
+        cells_mask, keep = pm
+        cover |= cells_mask
+        if cover == full:
+            path.append(p)
+            return path, nodes
+        alive &= keep
+        uncovered = full ^ cover
+        nxt = on_cell[(uncovered & -uncovered).bit_length() - 1] & alive
+        if nxt:
+            path.append(p)
+            frames.append([nxt, cover, alive])
     return None, nodes
 
 
@@ -189,16 +227,22 @@ def exact_cover_search(problem: SearchProblem, *,
     problem.
 
     The torus volume is capped (default 4096 cells; override with the
-    ``max_cells`` argument) since the cell bit-vectors and the exhaustive
-    tree grow with volume.
+    ``max_cells`` argument, a positive int).  The cap bounds the cover's
+    bits and, through the placement count (volume times orientations),
+    the width of the placement bitsets and of each conflict mask, as well
+    as the exhaustive tree.
 
     A found instance is re-verified before being returned.  When the
     neighborhood size |H*| does not divide the torus volume — and no allowed
     orientation can wrap-compress its neighborhood (every extent + 2t fits
     within its axis) — the cover is impossible by counting and the search
-    reports exhausted without enumerating.
+    reports exhausted without enumerating.  ``stats`` says which of the two
+    decided the outcome and where the time went.
     """
     start = time.perf_counter()
+    if max_cells is not None and not (is_int(max_cells) and max_cells >= 1):
+        raise ValueError(
+            f"max_cells must be a positive integer, got {max_cells!r}")
     volume = problem.volume
     cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     if volume > cap:
@@ -215,21 +259,21 @@ def exact_cover_search(problem: SearchProblem, *,
         e + 2 * problem.t <= d
         for exts in orientations for e, d in zip(exts, problem.torus))
     if volume % hstar and never_compresses:
-        return SearchResult("exhausted", None, 0, _elapsed_ms())
+        stats = {"decided_by": "divisibility", "placements": 0,
+                 "placements_ms": 0.0, "dfs_ms": 0.0}
+        return SearchResult("exhausted", None, 0, _elapsed_ms(), stats)
 
+    enum_start = time.perf_counter()
     placements = enumerate_placements(problem)
-    masks = [sum(1 << c for c in pl.cells) for pl in placements]
-    by_vertex: list[list[int]] = [[] for _ in range(volume)]
-    for idx, pl in enumerate(placements):
-        for c in pl.cells:
-            by_vertex[c].append(idx)
-    full = (1 << volume) - 1
-
+    dfs_start = time.perf_counter()
     # The first branch vertex is the lowest cell, i.e. the origin, so fixing
     # the first placement to one covering it is the only symmetry breaking.
-    chosen, nodes = _dfs(masks, by_vertex, full)
+    chosen, nodes = _dfs(placements, volume)
+    stats = {"decided_by": "search", "placements": len(placements),
+             "placements_ms": round((dfs_start - enum_start) * 1000, 3),
+             "dfs_ms": round((time.perf_counter() - dfs_start) * 1000, 3)}
     if chosen is None:
-        return SearchResult("exhausted", None, nodes, _elapsed_ms())
+        return SearchResult("exhausted", None, nodes, _elapsed_ms(), stats)
     dims = problem.torus
     comps = [Shape.of((unflatten(c, dims) for c in flats), dim=len(dims))
              for flats in sorted(placements[p].component for p in chosen)]
@@ -239,4 +283,4 @@ def exact_cover_search(problem: SearchProblem, *,
         raise RuntimeError(
             "internal error: exact cover produced an instance that fails "
             f"verification: {report.to_json()['violations'][:3]}")
-    return SearchResult("found", inst, nodes, _elapsed_ms())
+    return SearchResult("found", inst, nodes, _elapsed_ms(), stats)

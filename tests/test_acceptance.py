@@ -14,6 +14,7 @@ import itertools
 import random
 import time
 import warnings
+from collections import Counter
 from math import prod
 
 from pdds.abelian import (
@@ -259,16 +260,23 @@ def test_criterion_06_partition_iff_bijection():
 
 def test_criterion_07_search_nonexistence_sweep():
     started = time.perf_counter()
+    decided_by = Counter()
     for a in range(5, 11):
         for b in range(5, 11):
             result = exact_cover_search(
                 SearchProblem((a, b), 1, BoxSpec((3, 3))))
             assert result.outcome == "exhausted", (a, b)
+            decided_by[result.stats["decided_by"]] += 1
     found = exact_cover_search(SearchProblem((5, 5), 1, BoxSpec((1, 1))))
     assert found.outcome == "found"
     assert verify_pdds(found.instance).passed
     elapsed = time.perf_counter() - started
-    warnings.warn(f"criterion 7: 36 tori exhausted + 1 found, {elapsed:.1f}s")
+    # 21 does not divide the volume of 32 of the 36 tori
+    assert decided_by == {"divisibility": 32, "search": 4}
+    warnings.warn(
+        f"criterion 7: 36 tori exhausted ({decided_by['divisibility']} by the "
+        f"divisibility shortcut, {decided_by['search']} by search) + 1 found, "
+        f"{elapsed:.1f}s")
 
 
 def test_criterion_08_group_count_and_distinct_periods():

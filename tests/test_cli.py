@@ -139,6 +139,22 @@ def test_search_command_exit_codes(capsys):
     assert code == 1 and "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_search_rejects_a_cell_cap_below_one(capsys, cap):
+    # -3 used to be reported as "exceeds the cell cap -3"
+    code, out, err = invoke(capsys, "search", "--torus", "5,5", "--t", "1",
+                            "--H", "1,1", "--max-cells", cap)
+    assert code == 1 and out == ""
+    assert err.startswith("pdds search: max_cells must be a positive integer")
+
+
+def test_search_names_both_axis_counts(capsys):
+    code, _, err = invoke(capsys, "search", "--torus", "5,5", "--t", "1",
+                          "--H", "1")
+    assert code == 1
+    assert "pdds search: box spec h has 1 axes, torus has 2" in err
+
+
 def test_render_command(capsys, tmp_path):
     path = tmp_path / "sq0.json"
     invoke(capsys, "construct", "--family", "square", "--k", "0",

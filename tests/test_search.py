@@ -14,6 +14,7 @@ from pdds.search import (
     Placement,
     SearchProblem,
     _allowed_orientations,
+    _dfs,
     enumerate_placements,
     exact_cover_search,
 )
@@ -25,7 +26,7 @@ def test_problem_validation():
         SearchProblem((0, 5), 1, BoxSpec((1, 1)))
     with pytest.raises(ValueError):
         SearchProblem((5, 5), -1, BoxSpec((1, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="box spec h has 3 axes, torus has 2"):
         SearchProblem((5, 5), 1, BoxSpec((1, 1, 1)))
     with pytest.raises(ValueError):
         SearchProblem((5, 5), 1, BoxSpec((1, 1)), "sideways")
@@ -202,12 +203,141 @@ def test_volume_cap_and_override():
     assert result.outcome == "found"
 
 
+@pytest.mark.parametrize("cap", [0, -3, True, 2.5, "4096"])
+def test_cell_cap_must_be_a_positive_int(cap):
+    # -3 used to be reported as "torus volume 25 exceeds the cell cap -3"
+    with pytest.raises(ValueError, match="max_cells must be a positive integer"):
+        exact_cover_search(SearchProblem((5, 5), 1, BoxSpec((1, 1))),
+                           max_cells=cap)
+
+
+@pytest.mark.parametrize("torus, t, extents, outcome, nodes", [
+    ((6, 6, 6), 1, (2, 1, 1), "exhausted", 206_857),
+    ((26, 26), 2, (1, 1), "found", 4_144),
+    ((12, 12, 12), 1, (2, 2, 2), "found", 1_925),
+])
+def test_heaviest_benchmark_searches_keep_their_trees(torus, t, extents,
+                                                      outcome, nodes):
+    # the largest trees of the benchmark's pinned search problems
+    result = exact_cover_search(SearchProblem(torus, t, BoxSpec(extents)))
+    assert (result.outcome, result.nodes_explored) == (outcome, nodes)
+    assert result.stats["decided_by"] == "search"
+    if outcome == "found":
+        assert verify_pdds(result.instance).passed
+
+
+def test_stats_say_what_decided_and_where_the_time_went():
+    shortcut = exact_cover_search(SearchProblem((7, 7), 1, BoxSpec((3, 3))))
+    assert shortcut.stats == {"decided_by": "divisibility", "placements": 0,
+                              "placements_ms": 0.0, "dfs_ms": 0.0}
+    problem = SearchProblem((5, 3), 1, BoxSpec((1, 1)))
+    searched = exact_cover_search(problem)
+    assert searched.stats["decided_by"] == "search"
+    assert searched.stats["placements"] == len(enumerate_placements(problem))
+    assert searched.stats["placements_ms"] >= 0 and searched.stats["dfs_ms"] >= 0
+    assert searched.to_json()["stats"] == searched.stats
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _least_cell_reference(placements, volume, budget):
+    """Least-cell backtracker that tests placements against the cover.
+
+    The oracle for the bitset ``_dfs``: at the lowest uncovered cell it
+    scans every placement that covers the cell, in index order, and tries
+    those whose cells miss the cover.  Returns (solution or None, nodes)
+    like ``_dfs``; raises _OverBudget after ``budget`` nodes.
+    """
+    masks = [sum(1 << c for c in pl.cells) for pl in placements]
+    by_vertex = [[] for _ in range(volume)]
+    for idx, pl in enumerate(placements):
+        for c in pl.cells:
+            by_vertex[c].append(idx)
+    full = (1 << volume) - 1
+    nodes = 0
+    path = []
+    covers = [0]
+    stack = [[by_vertex[0], 0]]
+    while stack:
+        frame = stack[-1]
+        candidates, idx = frame
+        placed = False
+        while idx < len(candidates):
+            p = candidates[idx]
+            idx += 1
+            if masks[p] & covers[-1]:
+                continue
+            frame[1] = idx
+            nodes += 1
+            if nodes > budget:
+                raise _OverBudget
+            path.append(p)
+            nxt = covers[-1] | masks[p]
+            if nxt == full:
+                return path, nodes
+            covers.append(nxt)
+            uncovered = ~nxt & full
+            v = (uncovered & -uncovered).bit_length() - 1
+            stack.append([by_vertex[v], 0])
+            placed = True
+            break
+        if not placed:
+            stack.pop()
+            if stack:
+                path.pop()
+                covers.pop()
+    return None, nodes
+
+
+def _sweep_problems(seed, count):
+    """Seeded 1-3-D problems on tori of at most 216 cells, both modes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        top = {1: 30, 2: 12, 3: 6}[n]
+        yield SearchProblem(tuple(rng.randint(1, top) for _ in range(n)),
+                            rng.randint(0, 2),
+                            BoxSpec(tuple(rng.randint(1, 3) for _ in range(n))),
+                            rng.choice(("all_axis_permutations", "fixed")))
+
+
+# Orientations whose neighborhoods wrap into themselves (extent + 2t above
+# the axis): two covers and two exhaustions of a few hundred nodes.
+_WRAPPING = (
+    SearchProblem((4,), 2, BoxSpec((2,))),
+    SearchProblem((2, 2, 2), 1, BoxSpec((1, 1, 1))),
+    SearchProblem((2, 5, 5), 1, BoxSpec((2, 1, 1))),
+    SearchProblem((5, 5, 2), 1, BoxSpec((1, 1, 2))),
+)
+
+
+def test_bitset_dfs_matches_least_cell_reference():
+    compared = found = wrapping = 0
+    for problem in itertools.chain(_WRAPPING, _sweep_problems(80801, 300)):
+        placements = enumerate_placements(problem)
+        try:
+            # a few seeded t = 0 tilings run to millions of nodes
+            want = _least_cell_reference(placements, problem.volume, 20_000)
+        except _OverBudget:
+            continue
+        assert _dfs(placements, problem.volume) == want, problem
+        compared += 1
+        found += want[0] is not None
+        wrapping += any(e + 2 * problem.t > d
+                        for exts in _allowed_orientations(problem)
+                        for e, d in zip(exts, problem.torus))
+    assert compared >= 280 and found >= 40 and wrapping >= 20
+
+
 def test_search_result_json_shape():
     found = exact_cover_search(SearchProblem((5, 5), 1, BoxSpec((1, 1))))
     blob = found.to_json()
     assert blob["outcome"] == "found"
     assert blob["nodes_explored"] == 5
     assert isinstance(blob["wall_time_ms"], int)
+    assert blob["stats"]["decided_by"] == "search"
     assert blob["instance"]["torus"] == [5, 5]
     empty = exact_cover_search(SearchProblem((7, 7), 1, BoxSpec((3, 3))))
     assert empty.to_json()["instance"] is None
