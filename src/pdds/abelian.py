@@ -21,6 +21,7 @@ order, both in invariant-factor canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -75,21 +76,7 @@ class AbelianGroup:
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in lexicographic residue order."""
-        if not self.moduli:
-            yield ()
-            return
-        cur = [0] * len(self.moduli)
-        while True:
-            yield tuple(cur)
-            i = len(cur) - 1
-            while i >= 0:
-                cur[i] += 1
-                if cur[i] < self.moduli[i]:
-                    break
-                cur[i] = 0
-                i -= 1
-            else:
-                return
+        return product(*map(range, self.moduli))
 
     def element_rank(self, a: GroupElement) -> int:
         """Position of a in lexicographic residue order (mixed-radix rank)."""
@@ -354,22 +341,8 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
     primes = sorted(factors)
     per_prime = [[tuple(p ** e for e in part) for part in _partitions(factors[p])]
                  for p in primes]
-    out = []
-    idx = [0] * len(primes)
-    while True:
-        moduli: list[int] = []
-        for choice, options in zip(idx, per_prime):
-            moduli.extend(options[choice])
-        out.append(AbelianGroup(tuple(moduli)).canonical())
-        i = len(idx) - 1
-        while i >= 0:
-            idx[i] += 1
-            if idx[i] < len(per_prime[i]):
-                break
-            idx[i] = 0
-            i -= 1
-        else:
-            return out
+    return [AbelianGroup(tuple(chain.from_iterable(choice))).canonical()
+            for choice in product(*per_prime)]
 
 
 def smith_quotient(basis: Sequence[Sequence[int]]) -> AbelianGroup:

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
                       check_bijection, molnar_k_set)
 from .lattice import (BoxSpec, Point, Shape, box_shape, check_point,
-                      check_radius, is_box, is_int, lee_distance,
+                      check_radius, is_box, is_int, nearest_within,
                       t_neighborhood, translate, unit_vector)
 
 
@@ -146,30 +146,16 @@ def _check_labels(tile: Tile, t: int) -> None:
             raise ValueError(f"tile label of {u} names device {dev} of component "
                              f"{cid}, which is not a tile vertex labelled as a "
                              f"device of component {cid}")
-        # l1 sums inline: lee_distance's checks would cost more than the
-        # rest of loading the construction.
+        # Per-label l1 sums, not lattice.nearest_within: t comes from JSON
+        # and a grid ball grows as t^n, while these sums cost the same for
+        # any t.  Inline, since lee_distance's checks would cost more than
+        # the rest of loading the construction.
         best = sum(map(abs, map(sub, u, dev)))
         for w in comps[cid]:
             if best > t or (w != dev and sum(map(abs, map(sub, u, w))) <= best):
                 raise ValueError(f"tile label of {u} names device {dev}, which is "
                                  f"not the unique nearest vertex of component {cid} "
                                  f"within distance {t}")
-
-
-def _nearest_in(copy: Shape, v: Point) -> Point:
-    """Unique nearest vertex of a component to v; asserts uniqueness."""
-    best = None
-    best_d = None
-    tied = False
-    for w in copy.vertices:
-        d = lee_distance(v, w)
-        if best_d is None or d < best_d:
-            best, best_d, tied = w, d, False
-        elif d == best_d:
-            tied = True
-    assert best is not None and not tied, \
-        f"vertex {v} has no unique nearest vertex in component {copy.vertices}"
-    return best
 
 
 def _assemble_tile(copies: Sequence[Shape], t: int) -> Tile:
@@ -182,11 +168,14 @@ def _assemble_tile(copies: Sequence[Shape], t: int) -> Tile:
     ordered = [copies[0]] + rest
     labels: dict[Point, tuple[int, Point]] = {}
     for cid, copy in enumerate(ordered):
-        star = t_neighborhood(copy, t)
-        for v in star.vertices:
+        near = nearest_within(copy.vertices, t)
+        for v in sorted(near):
             assert v not in labels, \
                 f"t-neighborhoods overlap at {v} (components {labels[v][0]} and {cid})"
-            labels[v] = (cid, _nearest_in(copy, v))
+            _, count, device = near[v]
+            assert count == 1, \
+                f"vertex {v} has no unique nearest vertex in component {copy.vertices}"
+            labels[v] = (cid, device)
     return Tile(Shape.of(labels.keys()), labels)
 
 

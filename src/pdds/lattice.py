@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import prod
-from operator import add, sub
+from operator import add, mod, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 Point = tuple[int, ...]
@@ -65,13 +65,6 @@ def check_radius(t: object) -> int:
     if not is_int(t) or t < 0:
         raise ValueError(f"t must be a nonnegative integer, got {t!r}")
     return t
-
-
-def reduce_point(p: Sequence[int], torus: Optional[TorusDims]) -> Point:
-    """Reduce a vertex modulo the torus (identity on the infinite grid)."""
-    if torus is None:
-        return tuple(p)
-    return tuple(c % d for c, d in zip(p, torus))
 
 
 def strides(dims: Sequence[int]) -> tuple[int, ...]:
@@ -257,49 +250,82 @@ def translate(shape: Shape, z: Sequence[int],
     if len(z) != shape.dim:
         raise ValueError(f"offset dim {len(z)} != shape dim {shape.dim}")
     dims = check_torus(shape.dim, torus)
-    moved = (tuple(a + b for a, b in zip(v, z)) for v in shape.vertices)
-    if dims is None:
-        return Shape.of(moved, dim=shape.dim)
-    return Shape.of((reduce_point(v, dims) for v in moved), dim=shape.dim)
+    moved = (tuple(map(add, v, z)) for v in shape.vertices)
+    if dims is not None:
+        moved = (tuple(map(mod, v, dims)) for v in moved)
+    return Shape.of(moved, dim=shape.dim)
 
 
-def _neighbors(v: Point, dims: Optional[TorusDims]) -> Iterator[Point]:
-    for i in range(len(v)):
-        for step in (1, -1):
-            w = list(v)
-            w[i] += step
+def _offset_ball(dim: int, t: int,
+                 dims: Optional[TorusDims]) -> list[tuple[Point, int]]:
+    """Distinct offsets within Lee distance t, with their distance.
+
+    On the grid each axis offers -t..t; on a torus each axis offers the
+    residues r whose circular distance min(r, d - r) is at most t, so the
+    ball never outgrows the torus.  Built axis by axis, in lexicographic
+    order, keeping only offsets that fit in the budget the earlier axes
+    left, so each offset appears once.
+    """
+    out: list[tuple[Point, int]] = [((), 0)]
+    for i in range(dim):
+        if dims is None:
+            axis = [(r, abs(r)) for r in range(-t, t + 1)]
+        else:
+            d = dims[i]
+            reach = min(t, d // 2)
+            axis = sorted({(r % d, abs(r)) for r in range(-reach, reach + 1)})
+        out = [(delta + (r,), dist + c) for delta, dist in out
+               for r, c in axis if dist + c <= t]
+    return out
+
+
+def nearest_within(verts: Sequence[Sequence[int]], t: int,
+                   torus: Optional[TorusDims] = None
+                   ) -> dict[Point, tuple[int, int, Point]]:
+    """Every vertex within Lee distance t of verts, with its nearest ones.
+
+    Maps each such vertex (reduced mod the torus, if one is given) to
+    ``(least distance, number of nearest vertices, first nearest vertex in
+    verts order)``.  The walk is one offset ball per vertex of verts, so a
+    torus bounds the work however large t is.
+
+    >>> nearest_within([(0,), (2,)], 1)[(1,)]
+    (1, 2, (0,))
+    >>> nearest_within([(0,), (1,)], 5, (4,))[(3,)]
+    (1, 1, (0,))
+    """
+    if t < 0:
+        raise ValueError(f"radius must be nonnegative, got {t}")
+    if not verts:
+        return {}
+    dims = check_torus(len(verts[0]), torus)
+    ball = _offset_ball(len(verts[0]), t, dims)
+    out: dict[Point, tuple[int, int, Point]] = {}
+    for w in verts:
+        for delta, d in ball:
+            x = tuple(map(add, w, delta))
             if dims is not None:
-                w[i] %= dims[i]
-            yield tuple(w)
+                x = tuple(map(mod, x, dims))
+            best = out.get(x)
+            if best is None or d < best[0]:
+                out[x] = (d, 1, w)
+            elif d == best[0]:
+                out[x] = (d, best[1] + 1, best[2])
+    return out
 
 
 def t_neighborhood(shape: Shape, t: int,
                    torus: Optional[TorusDims] = None) -> Shape:
     """All vertices within Lee distance t of the shape (a set union).
 
-    Computed as a multi-source breadth-first search from the shape's
-    vertices, so each vertex appears once however many sources reach it.
-    ``t = 0`` returns the (torus-reduced) shape itself.
+    The keys of :func:`nearest_within`, so each vertex appears once however
+    many vertices of the shape reach it.  ``t = 0`` returns the
+    (torus-reduced) shape itself.
 
     >>> len(t_neighborhood(Shape.of([(0, 0)]), 2))
     13
     """
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
-    dims = check_torus(shape.dim, torus)
-    seen = {reduce_point(v, dims) for v in shape.vertices}
-    frontier = set(seen)
-    for _ in range(t):
-        nxt = set()
-        for v in frontier:
-            for w in _neighbors(v, dims):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return Shape.of(seen, dim=shape.dim)
+    return Shape(shape.dim, tuple(sorted(nearest_within(shape.vertices, t, torus))))
 
 
 def is_box(shape: Shape) -> Optional[BoxSpec]:

@@ -23,8 +23,9 @@ from itertools import permutations, product as _cartesian
 from math import prod
 from typing import NamedTuple, Optional
 
-from .lattice import (BoxSpec, Shape, box_shape, check_radius, check_torus,
-                      is_int, shifted_flats, t_neighborhood, unflatten)
+from .lattice import (BoxSpec, Point, Shape, box_shape, check_radius,
+                      check_torus, is_int, nearest_within, shifted_flats,
+                      unflatten)
 from .verifier import PDDSInstance, verify_pdds
 
 DEFAULT_MAX_CELLS = 4096
@@ -91,8 +92,10 @@ class SearchResult:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _allowed_orientations(problem: SearchProblem) -> list[tuple[int, ...]]:
-    """Distinct extent orderings that a t-PDDS on the torus can use.
+def _allowed_orientations(
+        problem: SearchProblem) -> dict[tuple[int, ...], tuple[Point, ...]]:
+    """Distinct extent orderings that a t-PDDS on the torus can use, each
+    with its box's t-neighborhood on the torus (sorted vertices).
 
     An extent equal to its torus dimension (above 1) would wrap the axis
     into a full ring, which is not a box translate on the torus; such
@@ -106,22 +109,13 @@ def _allowed_orientations(problem: SearchProblem) -> list[tuple[int, ...]]:
     else:
         candidates = sorted(set(permutations(problem.h_spec.extents)))
     dims, t = problem.torus, problem.t
-    return [exts for exts in candidates
-            if all(e < d or (e == d == 1) for e, d in zip(exts, dims))
-            and _nearest_is_unique(exts, t, dims)]
-
-
-def _nearest_is_unique(exts: tuple[int, ...], t: int,
-                       dims: tuple[int, ...]) -> bool:
-    """Does every torus vertex within t of the box have one nearest box vertex?"""
-    # Without wrap-compression (e + 2t <= d on every axis) the nearest
-    # vertex is the per-axis clamp, which is unique.
-    if all(e + 2 * t <= d for e, d in zip(exts, dims)):
-        return True
-    spec = BoxSpec(exts)
-    alone = PDDSInstance(dims, t, spec, [box_shape(spec)])
-    return all(v.kind != "ambiguous_nearest"
-               for v in verify_pdds(alone, strict_box=False).violations)
+    allowed = {}
+    for exts in candidates:
+        if all(e < d or (e == d == 1) for e, d in zip(exts, dims)):
+            near = nearest_within(box_shape(BoxSpec(exts)).vertices, t, dims)
+            if all(count == 1 for _, count, _ in near.values()):
+                allowed[exts] = tuple(sorted(near))
+    return allowed
 
 
 def enumerate_placements(problem: SearchProblem) -> list[Placement]:
@@ -135,9 +129,8 @@ def enumerate_placements(problem: SearchProblem) -> list[Placement]:
     """
     dims = problem.torus
     found = set()
-    for exts in _allowed_orientations(problem):
+    for exts, cells in _allowed_orientations(problem).items():
         box = box_shape(BoxSpec(exts))
-        cells = t_neighborhood(box, problem.t, dims).vertices
         k = len(cells)
         # Cells and box are shifted together, one list per anchor, then split.
         anchors = _cartesian(*(range(d) for d in dims))
@@ -219,6 +212,29 @@ def _dfs(placements: list[Placement],
     return None, nodes
 
 
+def _count_excludes(problem: SearchProblem,
+                    allowed: dict[tuple[int, ...], tuple[Point, ...]]) -> bool:
+    """Does counting cells alone rule out every cover?
+
+    ``allowed`` is :func:`_allowed_orientations` of the problem.  The count
+    runs only when some orientation is allowed and none wraps its
+    neighborhood (every extent + 2t fits within its axis): then every
+    placement claims |H*| cells, the torus neighborhood's size equals the
+    grid's, and a cover needs |H*| to divide the cells.  At t = 0 a
+    placement is its box, so an axis on which every orientation has extent
+    1 keeps it in one slice across that axis; each slice is covered on its
+    own and the count leaves those axes out.
+    """
+    dims, t = problem.torus, problem.t
+    if not allowed or any(e + 2 * t > d for exts in allowed
+                          for e, d in zip(exts, dims)):
+        return False
+    hstar = len(next(iter(allowed.values())))
+    cells = problem.volume if t else prod(
+        d for i, d in enumerate(dims) if any(exts[i] > 1 for exts in allowed))
+    return cells % hstar != 0
+
+
 def exact_cover_search(problem: SearchProblem, *,
                        max_cells: Optional[int] = None) -> SearchResult:
     """Decide existence of a t-PDDS[H] on the torus by exhaustive exact cover.
@@ -233,11 +249,13 @@ def exact_cover_search(problem: SearchProblem, *,
     as the exhaustive tree.
 
     A found instance is re-verified before being returned.  When the
-    neighborhood size |H*| does not divide the torus volume — and no allowed
-    orientation can wrap-compress its neighborhood (every extent + 2t fits
-    within its axis) — the cover is impossible by counting and the search
-    reports exhausted without enumerating.  ``stats`` says which of the two
-    decided the outcome and where the time went.
+    neighborhood size |H*| does not divide the torus volume (at t = 0, the
+    cells of one slice) and no allowed orientation can wrap-compress its
+    neighborhood, the cover is impossible by counting and the search
+    reports exhausted without enumerating (see ``_count_excludes``).  With
+    no allowed orientation the search runs on no placements (0 nodes).
+    ``stats`` says which of the two decided the outcome and where the time
+    went.
     """
     start = time.perf_counter()
     if max_cells is not None and not (is_int(max_cells) and max_cells >= 1):
@@ -253,12 +271,7 @@ def exact_cover_search(problem: SearchProblem, *,
     def _elapsed_ms() -> int:
         return int((time.perf_counter() - start) * 1000)
 
-    hstar = len(t_neighborhood(box_shape(problem.h_spec), problem.t))
-    orientations = _allowed_orientations(problem)
-    never_compresses = all(
-        e + 2 * problem.t <= d
-        for exts in orientations for e, d in zip(exts, problem.torus))
-    if volume % hstar and never_compresses:
+    if _count_excludes(problem, _allowed_orientations(problem)):
         stats = {"decided_by": "divisibility", "placements": 0,
                  "placements_ms": 0.0, "dfs_ms": 0.0}
         return SearchResult("exhausted", None, 0, _elapsed_ms(), stats)

@@ -31,7 +31,7 @@ from .abelian import (Homomorphism, check_bijection, check_periods,
                       syndrome_columns, syndrome_rank, torus_periods)
 from .constructions import Construction, Tile
 from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus,
-                      lee_distance, shifted_flats, unflatten)
+                      lee_distance, nearest_within, shifted_flats, unflatten)
 
 # The largest torus the verifier allocates per-vertex arrays for: coverage
 # keeps about 10 bytes a vertex, so about 170 MB.  The test suite's largest
@@ -178,22 +178,6 @@ def instantiate_on_torus(construction: Construction,
 # --------------------------------------------------------------------------
 # Verification.
 # --------------------------------------------------------------------------
-
-def _circular_offsets(dims: tuple[int, ...], t: int) -> list[tuple[Point, int]]:
-    """Distinct torus offsets within distance t, with their circular distance.
-
-    Built axis by axis, in lexicographic order, from the residues r whose
-    circular distance min(r, d - r) fits in the budget the earlier axes
-    left, so each torus offset appears once and the work is bounded by the
-    torus, not by the grid Lee ball of radius t.
-    """
-    out: list[tuple[Point, int]] = [((), 0)]
-    for d in dims:
-        axis = [(r, min(r, d - r)) for r in range(d) if min(r, d - r) <= t]
-        out = [(delta + (r,), dist + c) for delta, dist in out
-               for r, c in axis if dist + c <= t]
-    return out
-
 
 def _box_extents(comp: Shape, dims: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """Extents of the torus vertex set if it is a translate of a box, else None.
@@ -346,23 +330,10 @@ def _coverage(inst: PDDSInstance, classes: _Classes):
     """
     dims = inst.torus
     volume = inst.volume
-    offsets = _circular_offsets(dims, inst.t)
-
     shifts = []
     for key, anchors in zip(classes.keys, classes.anchors):
-        local: dict[Point, list[int]] = {}   # cell -> [least distance, count]
-        for w in key:
-            for delta, d in offsets:
-                cell = tuple((a + b) % n for a, b, n in zip(w, delta, dims))
-                entry = local.get(cell)
-                if entry is None:
-                    local[cell] = [d, 1]
-                elif d < entry[0]:
-                    entry[0] = d
-                    entry[1] = 1
-                elif d == entry[0]:
-                    entry[1] += 1
-        counts = [min(cnt, 255) for _, cnt in local.values()]
+        local = nearest_within(key, inst.t, dims)
+        counts = [min(cnt, 255) for _, cnt, _ in local.values()]
         shifts.append((shifted_flats(list(local), anchors, dims), counts))
 
     cover = bytearray(volume)          # 0, 1, or 2 components saturating

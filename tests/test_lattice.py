@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from pdds.lattice import (
     BoxSpec,
     Shape,
+    _offset_ball,
     box_shape,
     is_box,
     lee_distance,
+    nearest_within,
     shifted_flats,
     strides,
     t_neighborhood,
@@ -138,6 +140,68 @@ def test_t_neighborhood_matches_brute_on_torus():
         want = {x for x in itertools.product(range(dims[0]), range(dims[1]))
                 if min(lee_distance(x, v, dims) for v in verts) <= t}
         assert got == want
+
+
+@pytest.mark.parametrize("dim, t", [
+    (1, 0), (1, 3), (2, 0), (2, 1), (2, 4), (3, 2), (4, 1), (4, 2),
+])
+def test_offset_ball_matches_every_grid_offset(dim, t):
+    # on the grid each axis offers -t..t; lexicographic, as on a torus
+    want = [(x, sum(map(abs, x)))
+            for x in itertools.product(range(-t, t + 1), repeat=dim)
+            if sum(map(abs, x)) <= t]
+    assert _offset_ball(dim, t, None) == want
+
+
+@st.composite
+def nearest_cases(draw):
+    """A vertex list (unreduced, repeats allowed), a radius, and a torus
+    (None for the grid) small enough to scan."""
+    n = draw(st.integers(1, 3))
+    torus = draw(st.one_of(st.none(), st.tuples(*[st.integers(1, 6)] * n)))
+    point = st.tuples(*[st.integers(-4, 8)] * n)
+    verts = draw(st.lists(point, min_size=1, max_size=4))
+    return verts, draw(st.integers(0, 4)), torus
+
+
+def _nearest_by_brute_force(verts, t, torus):
+    n = len(verts[0])
+    if torus is None:
+        region = itertools.product(*(
+            range(min(v[i] for v in verts) - t, max(v[i] for v in verts) + t + 1)
+            for i in range(n)))
+    else:
+        region = itertools.product(*map(range, torus))
+    out = {}
+    for x in region:
+        dists = [lee_distance(x, w, torus) for w in verts]
+        best = min(dists)
+        if best <= t:
+            out[x] = (best, dists.count(best), verts[dists.index(best)])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearest_cases())
+@example(([(0,), (2,)], 2, (4,)))             # two nearest at 1 and 3, wrapping
+@example(([(0, 0), (2, 0)], 1, None))         # a tie on the grid
+@example(([(0,), (5,)], 3, (5,)))             # one vertex twice mod 5
+@example(([(-1, 7)], 4, (3, 2)))              # ball larger than the torus
+def test_nearest_within_matches_brute_force(case):
+    verts, t, torus = case
+    assert nearest_within(verts, t, torus) == \
+        _nearest_by_brute_force(verts, t, torus)
+
+
+def test_nearest_within_torus_work_is_bounded_by_the_torus():
+    # a grid ball of radius 10**6 would never finish; the torus caps it
+    near = nearest_within([(0, 0)], 10 ** 6, (5, 5))
+    assert len(near) == 25 and {c for _, c, _ in near.values()} == {1}
+
+
+def test_nearest_within_rejects_negative_radius():
+    with pytest.raises(ValueError, match="nonnegative"):
+        nearest_within([(0,)], -1)
 
 
 def test_is_box_accepts_boxes_rejects_others():

@@ -14,6 +14,7 @@ from pdds.search import (
     Placement,
     SearchProblem,
     _allowed_orientations,
+    _count_excludes,
     _dfs,
     enumerate_placements,
     exact_cover_search,
@@ -329,6 +330,68 @@ def test_bitset_dfs_matches_least_cell_reference():
                         for exts in _allowed_orientations(problem)
                         for e, d in zip(exts, problem.torus))
     assert compared >= 280 and found >= 40 and wrapping >= 20
+
+
+def test_count_per_slice_at_radius_zero():
+    # Every allowed 1x1x3 box on (5, 5, 3) lies along axis 0 or 1, so it
+    # stays in one 25-cell layer across axis 2, and 3 does not divide 25.
+    # The whole-volume count (75) passes, and the search used to take
+    # 93,850,240 nodes (76 s) to prove it; on (4, 5, 3), 81.4 M nodes.
+    for torus in ((5, 5, 3), (4, 5, 3)):
+        result = exact_cover_search(SearchProblem(torus, 0, BoxSpec((1, 1, 3))))
+        assert (result.outcome, result.nodes_explored) == ("exhausted", 0)
+        assert result.stats["decided_by"] == "divisibility"
+    # at t >= 1 a neighborhood crosses layers, so only the volume counts:
+    # 8 divides 4 * 6 but not the 4 cells of a layer across axis 1
+    across = SearchProblem((4, 6), 1, BoxSpec((2, 1)), "fixed")
+    assert exact_cover_search(across).stats["decided_by"] == "search"
+
+
+def test_huge_radius_is_sized_on_the_torus():
+    # |H*| used to be counted on the grid first: t = 1000 took 20 s on
+    # (5, 5), and t = 10**6 did not return
+    result = exact_cover_search(SearchProblem((5, 5), 10 ** 6, BoxSpec((1, 1))))
+    assert (result.outcome, result.nodes_explored) == ("found", 1)
+    assert verify_pdds(result.instance).passed
+    # on (7, 3) the 1x3 box would close axis 1 into a ring; 3x1 is used
+    wide = exact_cover_search(SearchProblem((7, 3), 10 ** 6, BoxSpec((1, 3))))
+    assert wide.outcome == "found"
+    assert wide.instance.components == [box_shape(BoxSpec((3, 1)))]
+
+
+def test_no_allowed_orientation_runs_the_empty_search():
+    # a domino on a 3-ring has two nearest vertices opposite it: no
+    # placement, so the search over none of them decides, with no node
+    result = exact_cover_search(SearchProblem((3,), 1, BoxSpec((2,))))
+    assert (result.outcome, result.nodes_explored) == ("exhausted", 0)
+    assert result.stats["decided_by"] == "search"
+    assert result.stats["placements"] == 0
+
+
+def test_radius_zero_counts_agree_with_the_reference():
+    # wherever the (per-slice) count decides a t = 0 problem, the
+    # reference backtracker finds no cover either
+    rng = random.Random(70707)
+    decided = checked = sliced = 0
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        dims = tuple(rng.randint(1, 6) for _ in range(n))
+        problem = SearchProblem(dims, 0,
+                                BoxSpec(tuple(rng.randint(1, 3) for _ in range(n))),
+                                rng.choice(("all_axis_permutations", "fixed")))
+        if not _count_excludes(problem, _allowed_orientations(problem)):
+            continue
+        decided += 1
+        try:
+            want = _least_cell_reference(enumerate_placements(problem),
+                                         problem.volume, 20_000)
+        except _OverBudget:
+            continue
+        assert want[0] is None, problem
+        checked += 1
+        # the whole volume would have passed: only a slice's count decides
+        sliced += problem.volume % problem.h_spec.volume == 0
+    assert decided >= 120 and checked >= 110 and sliced >= 15
 
 
 def test_search_result_json_shape():

@@ -20,14 +20,14 @@ from pdds.constructions import (
     pdds_t_path_2d,
     plc_n1,
 )
-from pdds.lattice import BoxSpec, Shape, box_shape, strides, translate
+from pdds.lattice import (BoxSpec, Shape, _offset_ball, box_shape, strides,
+                          translate)
 from pdds.verifier import (
     MAX_VOLUME,
     PDDSInstance,
     Violation,
     _box_extents,
     _box_violations,
-    _circular_offsets,
     _kernel_elements,
     _translation_classes,
     coverage,
@@ -365,7 +365,8 @@ def test_circular_offsets_match_every_torus_vertex(dims, t):
         dist = sum(min(c, d - c) for c, d in zip(x, dims))
         if dist <= t:
             want.append((x, dist))
-    assert _circular_offsets(dims, t) == want
+    # the offset ball coverage's local maps are built from, on a torus
+    assert _offset_ball(len(dims), t, dims) == want
 
 
 @st.composite
@@ -470,7 +471,7 @@ def _coverage_by_component(inst):
     written in component order."""
     dims = inst.torus
     row_strides = strides(dims)
-    offsets = _circular_offsets(dims, inst.t)
+    offsets = _offset_ball(len(dims), inst.t, dims)
     cover = bytearray(inst.volume)
     comp_of = [-1] * inst.volume
     count_of = bytearray(inst.volume)
