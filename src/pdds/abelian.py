@@ -187,6 +187,27 @@ def syndrome_rank(columns: SyndromeColumns, x: Sequence[int]) -> int:
     return rank
 
 
+def syndrome_ranks(columns: SyndromeColumns, dims: Sequence[int]) -> list[int]:
+    """:func:`syndrome_rank` of every vertex of a torus, in row-major order.
+
+    Built per cyclic factor, one axis at a time: each residue over the
+    first i axes is extended by every value of axis i, so a pass is one
+    list comprehension and no vertex tuple is built.
+
+    >>> h = Homomorphism(AbelianGroup((2, 3)), ((1, 1), (0, 2)))
+    >>> syndrome_ranks(syndrome_columns(h), (2, 2))
+    [0, 2, 4, 3]
+    """
+    ranks = [0] * prod(dims)
+    for m, col in columns:
+        residues = [0]
+        for c, d in zip(col, dims):
+            steps = [x * c % m for x in range(d)]
+            residues = [(r + s) % m for r in residues for s in steps]
+        ranks = [rank * m + r for rank, r in zip(ranks, residues)]
+    return ranks
+
+
 @dataclass(frozen=True)
 class BijectionResult:
     """Outcome of check_bijection.

@@ -9,13 +9,13 @@ deterministic, so renders are stable across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
 from typing import Optional, Union
 
-from .abelian import syndrome_columns, syndrome_rank
+from .abelian import syndrome_columns, syndrome_ranks
 from .constructions import Construction
-from .lattice import Point, TorusDims
-from .verifier import PDDSInstance, coverage, instantiate_on_torus
+from .lattice import TorusDims, shifted_flats
+from .verifier import (PDDSInstance, coverage, flats_not_one,
+                       instantiate_on_torus)
 
 FORMATS = ("ascii", "svg")
 LABEL_MODES = ("group_elements", "component_ids", "devices")
@@ -47,11 +47,14 @@ class RenderSpec:
 
 def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
                       torus: Optional[TorusDims]) -> tuple[
-                          TorusDims, dict[Point, str], dict[Point, int]]:
+                          TorusDims, list[str], list[Optional[int]]]:
     """Resolve the torus, the per-vertex label text, and component fills.
 
-    Returns (dims, labels, comp_index); vertices absent from ``labels`` are
-    blank, vertices absent from ``comp_index`` are uncolored.
+    Returns (dims, labels, fills), one entry per row-major flat index
+    (``lattice.strides``): ``labels[f]`` is the text of vertex f ("" for
+    blank) and ``fills[f]`` the index of the last component holding it
+    (None for uncolored).  Component vertices are reduced mod the torus,
+    as the verifier reduces them.
     """
     if isinstance(obj, Construction):
         con = obj
@@ -64,37 +67,42 @@ def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
     dims = inst.torus
+    if any(comp.dim != len(dims) for comp in inst.components):
+        raise ValueError("component dimension differs from torus dimension")
 
-    comp_index: dict[Point, int] = {}
-    for ci, comp in enumerate(inst.components):
-        for u in comp:
-            comp_index[u] = ci
+    # Every component vertex's flat index, in component order, and its
+    # component; a later component overwrites an earlier one's fill.
+    member_ids = [ci for ci, comp in enumerate(inst.components) for _ in comp.vertices]
+    members = next(shifted_flats([v for comp in inst.components for v in comp.vertices],
+                                 [(0,) * len(dims)], dims))
+    fills: list[Optional[int]] = [None] * inst.volume
+    for f, ci in zip(members, member_ids):
+        fills[f] = ci
+    # Component ids as text; index -1 (no component) is blank.
+    comp_names = [*map(str, range(len(inst.components))), ""]
 
-    labels: dict[Point, str] = {}
     if spec.label_mode == "group_elements":
         if con is None:
             raise ValueError("group_elements labeling requires a construction "
                              "(an instance has no group structure)")
-        columns = syndrome_columns(con.hom)
-        for v in _cartesian(*(range(d) for d in dims)):
-            labels[v] = str(syndrome_rank(columns, v))
+        names = [str(r) for r in range(con.hom.group.order)]
+        labels = [names[r] for r in syndrome_ranks(syndrome_columns(con.hom), dims)]
     elif spec.label_mode == "component_ids":
-        for u, ci in comp_index.items():
-            labels[u] = str(ci)
+        labels = ["" if ci is None else comp_names[ci] for ci in fills]
     else:
-        # devices: the service map, read off the verifier's coverage arrays
-        # (row-major flat order is lexicographic vertex order).  Every vertex
-        # shows the component whose neighborhood claims it; device vertices
-        # (set members) are starred, contested vertices show "?", unserved
-        # vertices stay blank.
+        # devices: the service map, read off the verifier's coverage arrays.
+        # Every vertex shows the component whose neighborhood claims it;
+        # device vertices (set members) are starred, contested vertices
+        # show "?", unserved vertices stay blank.  Members are always
+        # claimed (at distance 0), so only contested cells override a star.
         cover, comp_of, _, _ = coverage(inst)
-        vertices = _cartesian(*(range(d) for d in dims))
-        for u, state, ci in zip(vertices, cover, comp_of):
-            if state == 2:
-                labels[u] = "?"
-            elif state == 1:
-                labels[u] = f"{ci}*" if u in comp_index else str(ci)
-    return dims, labels, comp_index
+        labels = [comp_names[ci] for ci in comp_of]     # comp_of is -1 if unserved
+        for f in set(members):
+            labels[f] += "*"
+        for f in flats_not_one(cover):
+            if cover[f] == 2:
+                labels[f] = "?"
+    return dims, labels, fills
 
 
 def render_ascii(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
@@ -103,36 +111,18 @@ def render_ascii(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
     dims, labels, _ = _labels_and_fills(obj, spec, torus)
     if len(dims) != 2:
         raise ValueError(f"ascii rendering needs a 2-axis torus, got {len(dims)}")
-    width = max((len(s) for s in labels.values()), default=1)
-    lines = []
-    for x2 in range(dims[1] - 1, -1, -1):
-        row = [labels.get((x1, x2), "").rjust(width) for x1 in range(dims[0])]
-        lines.append(" ".join(row).rstrip())
+    width = max(map(len, labels))
+    padded = [s.rjust(width) for s in labels]
+    # Row x2 holds flat indices x2, x2 + d2, ...: a stride slice.
+    h = dims[1]
+    lines = [" ".join(padded[x2::h]).rstrip() for x2 in range(h - 1, -1, -1)]
     return "\n".join(lines) + "\n"
-
-
-def _svg_slice(out: list[str], origin_x: int, dims2: tuple[int, int],
-               at: "dict[tuple[int, int], tuple[str, Optional[int]]]") -> None:
-    """Emit one planar grid of cells at the given horizontal pixel offset."""
-    w, h = dims2
-    for x2 in range(h - 1, -1, -1):
-        for x1 in range(w):
-            text, ci = at.get((x1, x2), ("", None))
-            px = origin_x + x1 * _CELL
-            py = (h - 1 - x2) * _CELL
-            fill = "#ffffff" if ci is None else _PALETTE[ci % len(_PALETTE)]
-            out.append(f'<rect x="{px}" y="{py}" width="{_CELL}" '
-                       f'height="{_CELL}" fill="{fill}" stroke="#777777"/>')
-            if text:
-                out.append(f'<text x="{px + _CELL // 2}" y="{py + _CELL // 2 + 4}" '
-                           f'font-family="monospace" font-size="10" '
-                           f'text-anchor="middle">{text}</text>')
 
 
 def render_svg(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
                torus: Optional[TorusDims] = None) -> str:
     """Planar grid, or side-by-side planar slices of a 3-axis torus."""
-    dims, labels, comp_index = _labels_and_fills(obj, spec, torus)
+    dims, labels, fills = _labels_and_fills(obj, spec, torus)
     if len(dims) not in (2, 3):
         raise ValueError(f"svg rendering needs 2 or 3 axes, got {len(dims)}")
     slices = 1 if len(dims) == 2 else dims[2]
@@ -141,24 +131,32 @@ def render_svg(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
     total_h = grid_h * _CELL
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
            f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">']
+    # Slice s, row x2 holds flat indices x2 * slices + s + k * step, one
+    # per column x1: a stride slice of the flat lists.
+    step = grid_h * slices
     for s in range(slices):
-        at: dict[tuple[int, int], tuple[str, Optional[int]]] = {}
-        for (v, text) in labels.items():
-            if len(dims) == 3 and v[2] != s:
-                continue
-            at[(v[0], v[1])] = (text, comp_index.get(v))
-        # Color set cells even when the label mode leaves them textless.
-        for v, ci in comp_index.items():
-            if len(dims) == 3 and v[2] != s:
-                continue
-            key = (v[0], v[1])
-            if key not in at:
-                at[key] = ("", ci)
-            elif at[key][1] is None:
-                at[key] = (at[key][0], ci)
-        _svg_slice(out, s * (grid_w * _CELL + _SLICE_GAP), (grid_w, grid_h), at)
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        origin_x = s * (grid_w * _CELL + _SLICE_GAP)
+        rect_x = [f'<rect x="{origin_x + x1 * _CELL}" y="' for x1 in range(grid_w)]
+        text_x = [f'<text x="{origin_x + x1 * _CELL + _CELL // 2}" y="'
+                  for x1 in range(grid_w)]
+        for x2 in range(grid_h - 1, -1, -1):
+            py = (grid_h - 1 - x2) * _CELL
+            rect_y = f'{py}" width="{_CELL}" height="{_CELL}" fill="'
+            text_y = (f'{py + _CELL // 2 + 4}" font-family="monospace" '
+                      f'font-size="10" text-anchor="middle">')
+            start = x2 * slices + s
+            cells = []
+            for rx, tx, ci, text in zip(rect_x, text_x, fills[start::step],
+                                        labels[start::step]):
+                color = "#ffffff" if ci is None else _PALETTE[ci % len(_PALETTE)]
+                cells.append(f'{rx}{rect_y}{color}" stroke="#777777"/>')
+                if text:
+                    cells.append(f'{tx}{text_y}{text}</text>')
+            # One string per row, so the per-cell strings do not all live
+            # at once: they are most of a large render's peak memory.
+            out.append("\n".join(cells))
+    out.append("</svg>\n")     # the final newline, without copying the whole text
+    return "\n".join(out)
 
 
 def render(obj: Union[Construction, PDDSInstance], spec: RenderSpec,

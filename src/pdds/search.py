@@ -127,9 +127,17 @@ def enumerate_placements(problem: SearchProblem) -> list[Placement]:
     box and neighborhood are built once and shifted.  Each placement
     appears once, ordered by (cells, component).
     """
+    return _placements(problem, _allowed_orientations(problem))
+
+
+def _placements(problem: SearchProblem,
+                allowed: dict[tuple[int, ...], tuple[Point, ...]]) -> list[Placement]:
+    """:func:`enumerate_placements` from the problem's
+    :func:`_allowed_orientations`, so a caller that has them builds no
+    orientation's torus map twice."""
     dims = problem.torus
     found = set()
-    for exts, cells in _allowed_orientations(problem).items():
+    for exts, cells in allowed.items():
         box = box_shape(BoxSpec(exts))
         k = len(cells)
         # Cells and box are shifted together, one list per anchor, then split.
@@ -271,13 +279,16 @@ def exact_cover_search(problem: SearchProblem, *,
     def _elapsed_ms() -> int:
         return int((time.perf_counter() - start) * 1000)
 
-    if _count_excludes(problem, _allowed_orientations(problem)):
+    # The orientation maps feed the count and the placements alike; their
+    # time is placement time when the search runs.
+    enum_start = time.perf_counter()
+    allowed = _allowed_orientations(problem)
+    if _count_excludes(problem, allowed):
         stats = {"decided_by": "divisibility", "placements": 0,
                  "placements_ms": 0.0, "dfs_ms": 0.0}
         return SearchResult("exhausted", None, 0, _elapsed_ms(), stats)
 
-    enum_start = time.perf_counter()
-    placements = enumerate_placements(problem)
+    placements = _placements(problem, allowed)
     dfs_start = time.perf_counter()
     # The first branch vertex is the lowest cell, i.e. the origin, so fixing
     # the first placement to one covering it is the only symmetry breaking.

@@ -28,7 +28,8 @@ from operator import add, mod, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .abelian import (Homomorphism, check_bijection, check_periods,
-                      syndrome_columns, syndrome_rank, torus_periods)
+                      syndrome_columns, syndrome_rank, syndrome_ranks,
+                      torus_periods)
 from .constructions import Construction, Tile
 from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus,
                       lee_distance, nearest_within, shifted_flats, unflatten)
@@ -133,8 +134,9 @@ def _kernel_elements(hom: Homomorphism, dims: tuple[int, ...]) -> Iterator[Point
         solve.setdefault(syndrome_rank(columns, zeros + (-x,)), []).append(x)
     # The columns without the last generator rank phi(p, 0) from p alone.
     head = tuple((m, col[:-1]) for m, col in columns)
-    for prefix in _cartesian(*map(range, dims[:-1])):
-        for x in solve.get(syndrome_rank(head, prefix), ()):
+    prefixes = _cartesian(*map(range, dims[:-1]))
+    for prefix, rank in zip(prefixes, syndrome_ranks(head, dims[:-1])):
+        for x in solve.get(rank, ()):
             yield prefix + (x,)
 
 
@@ -359,14 +361,40 @@ def _coverage(inst: PDDSInstance, classes: _Classes):
     return cover, comp_of, count_of, multi
 
 
+# bytes.translate table: 1 -> 0, every other byte -> 1.
+_NOT_ONE = bytes(int(b != 1) for b in range(256))
+
+
+def flats_not_one(arr: bytes) -> list[int]:
+    """The indices f with ``arr[f] != 1``, ascending.
+
+    Made for the :func:`coverage` arrays, where 1 is the usual value: the
+    scan is a translate to a 0/1 flag array and a ``find`` per hit, so
+    the cells holding 1 never reach Python code.
+
+    >>> flats_not_one(bytearray([1, 0, 1, 2, 1]))
+    [1, 3]
+    """
+    flags = arr.translate(_NOT_ONE)
+    out = []
+    f = flags.find(1)
+    while f >= 0:
+        out.append(f)
+        f = flags.find(1, f + 1)
+    return out
+
+
 def _verify_by_expansion(inst: PDDSInstance, classes: _Classes) -> list[Violation]:
-    """Fast path: read the violations off the :func:`coverage` arrays."""
+    """Fast path: read the violations off the :func:`coverage` arrays.
+
+    Only the cells that are not covered once with one nearest vertex are
+    visited: those where ``cover`` or ``count_of`` is not 1.
+    """
     dims = inst.torus
     cover, comp_of, count_of, multi = _coverage(inst, classes)
     violations = []
-    for flat, state in enumerate(cover):
-        if state == 1 and count_of[flat] == 1:
-            continue
+    for flat in sorted({*flats_not_one(cover), *flats_not_one(count_of)}):
+        state = cover[flat]
         x = unflatten(flat, dims)
         if state == 0:
             violations.append(Violation(

@@ -15,6 +15,7 @@ from pdds.abelian import (
     smith_quotient,
     syndrome_columns,
     syndrome_rank,
+    syndrome_ranks,
     torus_periods,
 )
 
@@ -107,6 +108,9 @@ def test_syndrome_rank_is_the_rank_of_phi():
         for _ in range(5):
             x = tuple(rng.randint(-50, 50) for _ in range(n))
             assert syndrome_rank(columns, x) == group.element_rank(phi_eval(hom, x))
+        dims = tuple(rng.randint(1, 5) for _ in range(n))
+        assert syndrome_ranks(columns, dims) == [
+            syndrome_rank(columns, v) for v in itertools.product(*map(range, dims))]
 
 
 def test_homomorphism_json_round_trip():

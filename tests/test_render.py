@@ -1,9 +1,15 @@
 import re
 from collections import Counter
+from itertools import product as _cartesian
+from math import prod
+from typing import Optional
 
 import pytest
 
+from pdds.abelian import syndrome_columns, syndrome_rank, torus_periods
 from pdds.constructions import (
+    Construction,
+    minkowski_p2,
     nonlattice_p2_example,
     pdds1_q3,
     pdds1_square,
@@ -11,10 +17,13 @@ from pdds.constructions import (
     pdds_t_path_2d,
     plc_n1,
 )
-from pdds.lattice import BoxSpec, t_neighborhood, translate
-from pdds.render import (RenderSpec, _labels_and_fills, render, render_ascii,
+from pdds.lattice import BoxSpec, Shape, strides, t_neighborhood, translate
+from pdds.render import (_CELL, _PALETTE, _SLICE_GAP, FORMATS, LABEL_MODES,
+                         RenderSpec, _labels_and_fills, render, render_ascii,
                          render_svg)
-from pdds.verifier import PDDSInstance, instantiate_on_torus
+from pdds.verifier import (PDDSInstance, coverage, instantiate_on_torus,
+                           verify_pdds)
+from test_acceptance import CATALOG
 
 
 def test_render_spec_validation():
@@ -82,23 +91,163 @@ def reference_devices(inst):
             for u, ci in claimed.items()}
 
 
-def test_devices_labels_match_per_component_neighborhoods():
-    blanks = contested = 0
-    for c in (plc_n1(2), pdds1_square(0), pdds1_q3(), nonlattice_p2_example(),
-              pdds_t_path_2d(2, 2, "two_copy"), pdds_t_box2xk_2d(1, 2, "single_copy")):
+_VARIANT_SOURCES = (plc_n1(2), pdds1_square(0), pdds1_q3(), nonlattice_p2_example(),
+                    pdds_t_path_2d(2, 2, "two_copy"), pdds_t_box2xk_2d(1, 2, "single_copy"))
+
+
+def variant_instances():
+    """Each source's instance, with one component dropped (its neighborhood
+    goes unserved), and with one repeated a step over along the first axis
+    (contested vertices)."""
+    for c in _VARIANT_SOURCES:
         inst = instantiate_on_torus(c)
         comps = inst.components
-        # Drop one component (its neighborhood goes unserved), and repeat
-        # one a step over along the first axis (contested vertices).
         step = (1,) + (0,) * (inst.dim - 1)
         for variant in (comps, comps[1:], comps + [translate(comps[0], step, inst.torus)]):
-            candidate = PDDSInstance(inst.torus, inst.t, inst.h_spec, variant)
-            _, labels, _ = _labels_and_fills(candidate, RenderSpec("svg", "devices"), None)
-            want = reference_devices(candidate)
-            assert labels == want, c.h_spec
-            blanks += inst.volume - len(want)
-            contested += sum(text == "?" for text in want.values())
+            yield PDDSInstance(inst.torus, inst.t, inst.h_spec, variant)
+
+
+def test_devices_labels_match_per_component_neighborhoods():
+    blanks = contested = 0
+    for candidate in variant_instances():
+        _, labels, _ = _labels_and_fills(candidate, RenderSpec("svg", "devices"), None)
+        want = reference_devices(candidate)
+        # The reference is keyed by vertex; the labels are in flat order.
+        row_strides = strides(candidate.torus)
+        flat_want = [""] * candidate.volume
+        for u, text in want.items():
+            flat_want[sum(c * s for c, s in zip(u, row_strides))] = text
+        assert labels == flat_want, candidate.h_spec
+        blanks += candidate.volume - len(want)
+        contested += sum(text == "?" for text in want.values())
     assert blanks > 0 and contested > 0
+
+
+# --------------------------------------------------------------------------
+# The dict-keyed renderer the flat-list one replaced, kept as the reference.
+# --------------------------------------------------------------------------
+
+def _reference_labels_and_fills(obj, spec, torus):
+    """(dims, labels, comp_index): dicts keyed by vertex tuple; absent
+    vertices are blank / uncolored."""
+    if isinstance(obj, Construction):
+        con = obj
+        inst = instantiate_on_torus(con, torus)
+    else:
+        con = None
+        inst = obj
+    dims = inst.torus
+    comp_index = {}
+    for ci, comp in enumerate(inst.components):
+        for u in comp:
+            comp_index[u] = ci
+    labels = {}
+    if spec.label_mode == "group_elements":
+        columns = syndrome_columns(con.hom)
+        for v in _cartesian(*(range(d) for d in dims)):
+            labels[v] = str(syndrome_rank(columns, v))
+    elif spec.label_mode == "component_ids":
+        for u, ci in comp_index.items():
+            labels[u] = str(ci)
+    else:
+        cover, comp_of, _, _ = coverage(inst)
+        vertices = _cartesian(*(range(d) for d in dims))
+        for u, state, ci in zip(vertices, cover, comp_of):
+            if state == 2:
+                labels[u] = "?"
+            elif state == 1:
+                labels[u] = f"{ci}*" if u in comp_index else str(ci)
+    return dims, labels, comp_index
+
+
+def _reference_render_ascii(obj, spec, torus=None):
+    dims, labels, _ = _reference_labels_and_fills(obj, spec, torus)
+    width = max((len(s) for s in labels.values()), default=1)
+    lines = []
+    for x2 in range(dims[1] - 1, -1, -1):
+        row = [labels.get((x1, x2), "").rjust(width) for x1 in range(dims[0])]
+        lines.append(" ".join(row).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg_slice(out, origin_x, dims2, at):
+    w, h = dims2
+    for x2 in range(h - 1, -1, -1):
+        for x1 in range(w):
+            text, ci = at.get((x1, x2), ("", None))
+            px = origin_x + x1 * _CELL
+            py = (h - 1 - x2) * _CELL
+            fill = "#ffffff" if ci is None else _PALETTE[ci % len(_PALETTE)]
+            out.append(f'<rect x="{px}" y="{py}" width="{_CELL}" '
+                       f'height="{_CELL}" fill="{fill}" stroke="#777777"/>')
+            if text:
+                out.append(f'<text x="{px + _CELL // 2}" y="{py + _CELL // 2 + 4}" '
+                           f'font-family="monospace" font-size="10" '
+                           f'text-anchor="middle">{text}</text>')
+
+
+def _reference_render_svg(obj, spec, torus=None):
+    dims, labels, comp_index = _reference_labels_and_fills(obj, spec, torus)
+    slices = 1 if len(dims) == 2 else dims[2]
+    grid_w, grid_h = dims[0], dims[1]
+    total_w = slices * grid_w * _CELL + (slices - 1) * _SLICE_GAP
+    total_h = grid_h * _CELL
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
+           f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">']
+    for s in range(slices):
+        at: dict[tuple[int, int], tuple[str, Optional[int]]] = {}
+        for (v, text) in labels.items():
+            if len(dims) == 3 and v[2] != s:
+                continue
+            at[(v[0], v[1])] = (text, comp_index.get(v))
+        for v, ci in comp_index.items():
+            if len(dims) == 3 and v[2] != s:
+                continue
+            key = (v[0], v[1])
+            if key not in at:
+                at[key] = ("", ci)
+            elif at[key][1] is None:
+                at[key] = (at[key][0], ci)
+        _reference_svg_slice(out, s * (grid_w * _CELL + _SLICE_GAP), (grid_w, grid_h), at)
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+_REFERENCE = {"ascii": _reference_render_ascii, "svg": _reference_render_svg}
+
+
+def test_render_matches_reference_on_catalog():
+    cases = [(name, c, FORMATS) for name, c in CATALOG
+             if len(torus_periods(c.hom)) == 2 and prod(torus_periods(c.hom)) <= 20_000]
+    cases += [("q3", pdds1_q3(), ("svg",)), ("minkowski", minkowski_p2(), ("svg",))]
+    assert len(cases) == 74
+    for name, c, formats in cases:
+        for fmt in formats:
+            for mode in LABEL_MODES:
+                spec = RenderSpec(fmt, mode)
+                assert render(c, spec) == _REFERENCE[fmt](c, spec), (name, fmt, mode)
+
+
+def test_render_matches_reference_on_broken_instances():
+    for inst in variant_instances():
+        formats = FORMATS if inst.dim == 2 else ("svg",)
+        for fmt in formats:
+            for mode in ("component_ids", "devices"):
+                spec = RenderSpec(fmt, mode)
+                assert render(inst, spec) == _REFERENCE[fmt](inst, spec), (inst.torus, fmt, mode)
+
+
+def test_unreduced_instance_renders_like_reduced():
+    # square(k=0)'s component at the origin, written as x1 - 6 on its (6, 4)
+    # torus: verify reduces it, and so must render.
+    inst = instantiate_on_torus(pdds1_square(0))
+    moved = Shape.of((x1 - 6, x2) for x1, x2 in inst.components[0])
+    unreduced = PDDSInstance(inst.torus, inst.t, inst.h_spec, [moved, *inst.components[1:]])
+    assert verify_pdds(unreduced).passed
+    for fmt in FORMATS:
+        for mode in ("component_ids", "devices"):
+            spec = RenderSpec(fmt, mode)
+            assert render(unreduced, spec) == render(inst, spec), (fmt, mode)
 
 
 def test_unsupported_dimensions_raise():
@@ -110,6 +259,13 @@ def test_unsupported_dimensions_raise():
         render(plc4, RenderSpec("ascii", "group_elements"))
     with pytest.raises(ValueError):
         render(plc4, RenderSpec("svg", "group_elements"))
+
+
+def test_component_dimension_must_match_torus():
+    inst = PDDSInstance((4, 3), 1, BoxSpec((1, 1)), [Shape.of([(0, 0, 0)])])
+    for mode in ("component_ids", "devices"):
+        with pytest.raises(ValueError):
+            render(inst, RenderSpec("svg", mode))
 
 
 def test_group_elements_requires_construction():
