@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import gcd
-from operator import sub
+from math import comb, gcd
 from typing import Callable, Optional, Sequence
 
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
                       check_bijection, molnar_k_set)
 from .lattice import (BoxSpec, Point, Shape, box_shape, check_point,
-                      check_radius, is_box, is_int, nearest_within,
-                      t_neighborhood, translate, unit_vector)
+                      check_radius, is_box, is_int, nearest_within, translate,
+                      unit_vector)
 
 
 @dataclass
@@ -128,34 +127,69 @@ class Construction:
 
 
 def _check_labels(tile: Tile, t: int) -> None:
-    """ValueError unless every tile label names a device the tile can trust.
+    """ValueError unless the tile's labels are the ones its components give.
 
-    The label ``(cid, device)`` of tile vertex u passes when the device is a
-    tile vertex labelled ``(cid, device)`` itself, and is the unique nearest
-    vertex of component cid to u on Z^n, within distance t.  Then every
-    component lies inside the tile, which ``instantiate_on_torus`` needs,
-    and decoding a tile vertex returns a device that serves it.
+    The components are the devices; each must be a tile vertex labelled as
+    a device of its own component.  The labels must then equal
+    :func:`_tile_labels` of the components, so the tile is exactly the
+    disjoint union of the components' t-neighbourhoods, each vertex
+    labelled with its unique nearest device.  Each neighbourhood holds a
+    grid Lee ball of radius t, so a t whose ball outgrows the tile is
+    rejected first: the walk then costs at most |component| * |tile|.
     """
     labels = tile.labels
     comps: dict[int, list[Point]] = {}
-    for v, (cid, dev) in labels.items():
-        if dev == v:
-            comps.setdefault(cid, []).append(v)
     for u, (cid, dev) in labels.items():
         if labels.get(dev) != (cid, dev):
             raise ValueError(f"tile label of {u} names device {dev} of component "
                              f"{cid}, which is not a tile vertex labelled as a "
                              f"device of component {cid}")
-        # Per-label l1 sums, not lattice.nearest_within: t comes from JSON
-        # and a grid ball grows as t^n, while these sums cost the same for
-        # any t.  Inline, since lee_distance's checks would cost more than
-        # the rest of loading the construction.
-        best = sum(map(abs, map(sub, u, dev)))
-        for w in comps[cid]:
-            if best > t or (w != dev and sum(map(abs, map(sub, u, w))) <= best):
-                raise ValueError(f"tile label of {u} names device {dev}, which is "
-                                 f"not the unique nearest vertex of component {cid} "
-                                 f"within distance {t}")
+        if dev == u:
+            comps.setdefault(cid, []).append(u)
+    n = tile.shape.dim
+    if _ball_size(n, t) > len(labels):
+        raise ValueError(f"t = {t} is too large: a Lee ball of radius {t} in Z^{n} "
+                         f"has more vertices than the tile's {len(labels)}")
+    derived = _tile_labels(comps, t)
+    if derived != labels:
+        u = min(u for u in labels.keys() | derived.keys()
+                if labels.get(u) != derived.get(u))
+        if u not in labels:
+            raise ValueError(f"vertex {u} is within distance {t} of component "
+                             f"{derived[u][0]} but is not a tile vertex")
+        cid, dev = labels[u]
+        raise ValueError(f"tile label of {u} names device {dev}, which is not the "
+                         f"unique nearest vertex of component {cid} within distance {t}")
+
+
+def _ball_size(dim: int, t: int) -> int:
+    """Vertices of Z^dim within Lee distance t of a point: choose the k
+    nonzero axes, their signs, and k positive parts summing to at most t."""
+    return sum(2 ** k * comb(dim, k) * comb(t, k) for k in range(min(dim, t) + 1))
+
+
+def _tile_labels(components: dict[int, Sequence[Point]],
+                 t: int) -> dict[Point, tuple[int, Point]]:
+    """Every vertex within distance t of a component, with its nearest device.
+
+    Maps each vertex of Z^n within Lee distance t of component cid to
+    ``(cid, device)``, the device being its unique nearest vertex of that
+    component.  Raises ValueError when a vertex is within t of two
+    components or has two nearest vertices in one.  Builders label their
+    tiles with this walk, and ``Construction.from_json`` re-derives a
+    loaded tile's labels with it, so both agree on what a label is.
+    """
+    labels: dict[Point, tuple[int, Point]] = {}
+    for cid, verts in components.items():
+        for v, (_, count, device) in nearest_within(verts, t).items():
+            if v in labels:
+                raise ValueError(f"t-neighborhoods overlap at {v} "
+                                 f"(components {labels[v][0]} and {cid})")
+            if count != 1:
+                raise ValueError(f"vertex {v} has no unique nearest vertex "
+                                 f"in component {cid}")
+            labels[v] = (cid, device)
+    return labels
 
 
 def _assemble_tile(copies: Sequence[Shape], t: int) -> Tile:
@@ -165,17 +199,7 @@ def _assemble_tile(copies: Sequence[Shape], t: int) -> Tile:
     numbered in canonical order of their least vertex.
     """
     rest = sorted(copies[1:], key=lambda s: s.vertices[0])
-    ordered = [copies[0]] + rest
-    labels: dict[Point, tuple[int, Point]] = {}
-    for cid, copy in enumerate(ordered):
-        near = nearest_within(copy.vertices, t)
-        for v in sorted(near):
-            assert v not in labels, \
-                f"t-neighborhoods overlap at {v} (components {labels[v][0]} and {cid})"
-            _, count, device = near[v]
-            assert count == 1, \
-                f"vertex {v} has no unique nearest vertex in component {copy.vertices}"
-            labels[v] = (cid, device)
+    labels = _tile_labels(dict(enumerate(c.vertices for c in [copies[0], *rest])), t)
     return Tile(Shape.of(labels.keys()), labels)
 
 
@@ -284,12 +308,11 @@ def pdds_t_path_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
     elif variant == "single_copy":
         order = 2 * t * t + 2 * t * k + k
         group = AbelianGroup((order,))
-        star = t_neighborhood(h, t)
+        tile = _assemble_tile([h], t)
         hom = _resolve_generators(
             group,
             [((1,), ((2 * t + 1) % order,)), ((1,), ((t + 1) % order,))],
-            star.vertices, f"pdds_t_path_2d(t={t}, k={k}, single_copy)")
-        tile = _assemble_tile([h], t)
+            tile.shape.vertices, f"pdds_t_path_2d(t={t}, k={k}, single_copy)")
         c = Construction(t, spec, tile, hom)
     else:
         raise ValueError(f"variant must be 'two_copy' or 'single_copy', got {variant!r}")
@@ -333,8 +356,8 @@ def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
         raise ValueError(f"variant must be 'two_copy' or 'single_copy', got {variant!r}")
     size = 2 * (t + 1) * (t + k)
     m = gcd(t + 1, t + k)
-    star = t_neighborhood(h, t)
-    assert len(star) == size
+    tile = _assemble_tile([h], t)
+    assert len(tile.shape) == size
     if m == 1:
         group = AbelianGroup((size,))
         candidates = [(((t + 1) % size,), ((t + k) % size,)),
@@ -345,9 +368,8 @@ def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
         candidates = [((1, (t + k) // m % n2), (0, 1)),
                       ((1, (t + k) // m % n2), (1, (t + 1) // m % n2)),
                       ((1, 0), (0, 1))]
-    hom = _resolve_generators(group, candidates, star.vertices,
+    hom = _resolve_generators(group, candidates, tile.shape.vertices,
                               f"pdds_t_box2xk_2d(t={t}, k={k}, single_copy)")
-    tile = _assemble_tile([h], t)
     return _validate(Construction(t, spec, tile, hom))
 
 

@@ -59,13 +59,11 @@ def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
     if isinstance(obj, Construction):
         con = obj
         inst = instantiate_on_torus(con, torus)
-    elif isinstance(obj, PDDSInstance):
+    else:
         con = None
         inst = obj
         if torus is not None and tuple(torus) != inst.torus:
             raise ValueError("an instance carries its own torus; drop the override")
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__}")
     dims = inst.torus
     if any(comp.dim != len(dims) for comp in inst.components):
         raise ValueError("component dimension differs from torus dimension")
@@ -105,12 +103,22 @@ def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
     return dims, labels, fills
 
 
+def _axis_count(obj: Union[Construction, PDDSInstance]) -> int:
+    """The number of torus axes a render of obj has, known before labelling."""
+    if isinstance(obj, Construction):
+        return obj.hom.dim
+    if isinstance(obj, PDDSInstance):
+        return obj.dim
+    raise TypeError(f"cannot render {type(obj).__name__}")
+
+
 def render_ascii(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
                  torus: Optional[TorusDims] = None) -> str:
     """Planar grid as fixed-width text, second axis increasing upward."""
+    axes = _axis_count(obj)
+    if axes != 2:
+        raise ValueError(f"ascii rendering needs a 2-axis torus, got {axes}")
     dims, labels, _ = _labels_and_fills(obj, spec, torus)
-    if len(dims) != 2:
-        raise ValueError(f"ascii rendering needs a 2-axis torus, got {len(dims)}")
     width = max(map(len, labels))
     padded = [s.rjust(width) for s in labels]
     # Row x2 holds flat indices x2, x2 + d2, ...: a stride slice.
@@ -122,9 +130,10 @@ def render_ascii(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
 def render_svg(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
                torus: Optional[TorusDims] = None) -> str:
     """Planar grid, or side-by-side planar slices of a 3-axis torus."""
+    axes = _axis_count(obj)
+    if axes not in (2, 3):
+        raise ValueError(f"svg rendering needs 2 or 3 axes, got {axes}")
     dims, labels, fills = _labels_and_fills(obj, spec, torus)
-    if len(dims) not in (2, 3):
-        raise ValueError(f"svg rendering needs 2 or 3 axes, got {len(dims)}")
     slices = 1 if len(dims) == 2 else dims[2]
     grid_w, grid_h = dims[0], dims[1]
     total_w = slices * grid_w * _CELL + (slices - 1) * _SLICE_GAP

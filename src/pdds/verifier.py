@@ -11,11 +11,10 @@ vertex:
   * within that component it has a unique nearest vertex (its device), and
   * every component is an axis-aligned box (a translate of one on the torus).
 
-Verification has two independent code paths — a plain scan over all
-(vertex, component) pairs and a neighborhood expansion outward from each
-component — that must agree; the expansion is the fast path used by
-default, the scan is the reference oracle.  The expansion's per-vertex
-arrays are public as :func:`coverage`, the service map render draws.
+Verification expands each component's neighbourhood onto per-vertex
+arrays and reads the violations off them; the arrays are public as
+:func:`coverage`, the service map render draws.  The test suite keeps a
+brute-force scan over all (vertex, component) pairs as its oracle.
 """
 
 from __future__ import annotations
@@ -154,9 +153,9 @@ def instantiate_on_torus(construction: Construction,
     tile vertex).  The tile maps bijectively onto the group (checked here)
     and the torus is a period multiple, so the tile's translates partition
     the torus; then no translate repeats and its vertices are distinct mod
-    the torus, so shapes are built without a dedupe.  The catalog builders
-    label through ``constructions._assemble_tile``, and
-    ``Construction.from_json`` rejects labels that break the precondition.
+    the torus, so shapes are built without a dedupe.  Builders and
+    ``Construction.from_json`` both derive the labels with
+    ``constructions._tile_labels``, so both keep the precondition.
     """
     hom = construction.hom
     periods = torus_periods(hom)
@@ -227,50 +226,6 @@ def _box_violations(inst: PDDSInstance, class_of: list[int]) -> list[Violation]:
             out.append(Violation(comp.vertices[0], "component_not_box",
                                  f"component {cid} {details[k]}"))
     return out
-
-
-def _coverage_scan(inst: PDDSInstance):
-    """Reference path: distances by brute force over (vertex, component) pairs.
-
-    Yields (vertex, covering) where covering lists
-    (component_id, min_distance, minimizer_count, device) for every
-    component within distance t, in component order.
-    """
-    dims = inst.torus
-    for x in _cartesian(*(range(d) for d in dims)):
-        covering = []
-        for cid, comp in enumerate(inst.components):
-            best = None
-            count = 0
-            dev = None
-            for w in comp.vertices:
-                d = lee_distance(x, w, dims)
-                if best is None or d < best:
-                    best, count, dev = d, 1, w
-                elif d == best:
-                    count += 1
-            if best is not None and best <= inst.t:
-                covering.append((cid, best, count, dev))
-        yield x, covering
-
-
-def _verify_by_scan(inst: PDDSInstance) -> list[Violation]:
-    violations = []
-    for x, covering in _coverage_scan(inst):
-        if not covering:
-            violations.append(Violation(
-                x, "uncovered", f"no component within distance {inst.t}"))
-        elif len(covering) > 1:
-            ids = ", ".join(str(c[0]) for c in covering)
-            violations.append(Violation(
-                x, "multi_component", f"components {ids} all within distance {inst.t}"))
-        else:
-            cid, d, count, _ = covering[0]
-            if count > 1:
-                violations.append(Violation(
-                    x, "ambiguous_nearest",
-                    f"{count} nearest vertices in component {cid} at distance {d}"))
-    return violations
 
 
 class _Classes(NamedTuple):
@@ -385,7 +340,7 @@ def flats_not_one(arr: bytes) -> list[int]:
 
 
 def _verify_by_expansion(inst: PDDSInstance, classes: _Classes) -> list[Violation]:
-    """Fast path: read the violations off the :func:`coverage` arrays.
+    """Read the violations off the :func:`coverage` arrays.
 
     Only the cells that are not covered once with one nearest vertex are
     visited: those where ``cover`` or ``count_of`` is not 1.
@@ -414,30 +369,22 @@ def _verify_by_expansion(inst: PDDSInstance, classes: _Classes) -> list[Violatio
     return violations
 
 
-def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True,
-                method: str = "expansion") -> VerificationReport:
+def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True) -> VerificationReport:
     """Check the perfect domination property vertex by vertex.
 
     Reports every violating vertex in canonical order, classified as
     uncovered / multi_component / ambiguous_nearest, plus (under
     ``strict_box``, the default) component_not_box for components that do
-    not induce an axis-aligned box.  ``method`` selects the code path:
-    "expansion" (component neighborhoods outward; the default) or "scan"
-    (the brute-force reference).  The report passes exactly when
-    no violations are found.  The components are grouped into translation
+    not induce an axis-aligned box.  The report passes exactly when no
+    violations are found.  The components are grouped into translation
     classes once; the expansion and the box check both read that grouping.
     Raises ValueError for a torus of more than ``MAX_VOLUME`` vertices.
     """
-    if method not in ("expansion", "scan"):
-        raise ValueError(f"unknown method {method!r}")
     check_radius(inst.t)
     if not all(comp.vertices for comp in inst.components):
         raise ValueError("empty component")
     classes = _translation_classes(inst)
-    if method == "scan":
-        violations = _verify_by_scan(inst)
-    else:
-        violations = _verify_by_expansion(inst, classes)
+    violations = _verify_by_expansion(inst, classes)
     if strict_box:
         violations.extend(_box_violations(inst, classes.class_of))
     violations.sort(key=lambda v: (v.vertex, v.kind))

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from pdds.abelian import AbelianGroup, check_bijection, phi_eval, torus_periods
@@ -5,6 +8,7 @@ from pdds.constructions import (
     FAMILIES,
     Construction,
     Tile,
+    _ball_size,
     minkowski_p2,
     nonlattice_p2_example,
     pdds1_path,
@@ -14,8 +18,10 @@ from pdds.constructions import (
     pdds_t_path_2d,
     plc_n1,
 )
-from pdds.lattice import BoxSpec, is_box
-from test_acceptance import CATALOG
+from pdds.lattice import BoxSpec, _offset_ball, is_box
+from pdds.verifier import instantiate_on_torus, verify_pdds
+from test_acceptance import (CATALOG, VERIFY_CAP, corrupt_tile, period_volume,
+                             tile_is_pdds_on_zn)
 
 
 def test_family_registry_is_complete():
@@ -297,3 +303,70 @@ def test_construction_json_rejects_untrusted_device_labels():
     # the nearest vertex, but farther than t
     with pytest.raises(ValueError, match="within distance 0"):
         Construction.from_json(dict(plc.to_json(), t=0))
+
+
+def _relabel_all(blob, changes):
+    """Give each tile vertex v in changes the label changes[v] = (cid, device)."""
+    for entry in blob["tile"]["labels"]:
+        old = (entry["component"], entry["device"])
+        cid, device = changes.get(tuple(entry["v"]), old)
+        entry["component"], entry["device"] = cid, list(device)
+    return blob
+
+
+def test_construction_json_rejects_labels_its_components_do_not_give():
+    plc = plc_n1(2)
+    # (1, 0) as a component of its own: its neighbourhood overlaps the origin's
+    with pytest.raises(ValueError, match="t-neighborhoods overlap"):
+        Construction.from_json(_relabel_all(plc.to_json(), {(1, 0): (1, (1, 0))}))
+    # devices (-1, 0) and (1, 0) in one component: (0, 0) is between them
+    ends = {v: (0, (1, 0)) for v in [(0, 0), (0, 1), (0, -1), (1, 0)]}
+    ends[(-1, 0)] = (0, (-1, 0))
+    with pytest.raises(ValueError, match=r"vertex \(0, 0\) has no unique nearest"):
+        Construction.from_json(_relabel_all(plc.to_json(), ends))
+    # a neighbourhood vertex missing from the tile
+    blob = pdds1_q3().to_json()
+    blob["tile"]["vertices"].remove([2, 0, 0])
+    blob["tile"]["labels"] = [e for e in blob["tile"]["labels"] if e["v"] != [2, 0, 0]]
+    with pytest.raises(ValueError, match=r"vertex \(2, 0, 0\) is within distance 1 "
+                       "of component 0 but is not a tile vertex"):
+        Construction.from_json(blob)
+
+
+def test_ball_size_formula_matches_offset_ball():
+    for n in range(5):
+        for t in range(7):
+            assert _ball_size(n, t) == len(_offset_ball(n, t, None)), (n, t)
+
+
+def test_construction_json_rejects_huge_t_before_the_walk():
+    # plc1(n=2) with t = 10**6 used to load: its labels are nearest within t
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="t = 1000000 is too large"):
+        Construction.from_json(dict(plc_n1(2).to_json(), t=10**6))
+    assert time.perf_counter() - started < 0.1
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_load_check_matches_zn_oracle_and_torus_verify_on_corruptions(seed):
+    # The per-label check this load check replaced accepted 3 of the 500
+    # seed-3 corruptions that are not PDDSs: plc1(n=9, Z19), path(n=3, k=1)
+    # and box2xk(t=1, k=1, single_copy); at seed 7 it accepted 5.
+    rng = random.Random(seed)
+    on_torus = 0
+    for name, con in CATALOG:
+        for _ in range(5):
+            bent = Construction(con.t, con.h_spec, corrupt_tile(con.tile, rng), con.hom)
+            try:
+                Construction.from_json(bent.to_json())
+                loads = True
+            except ValueError:
+                loads = False
+            bijective = check_bijection(con.hom, bent.tile.shape.vertices).ok
+            accepted = loads and bijective
+            assert accepted == tile_is_pdds_on_zn(bent.tile, con.hom, con.t), name
+            if bijective and period_volume(con) <= VERIFY_CAP:
+                inst = instantiate_on_torus(bent)
+                assert accepted == verify_pdds(inst, strict_box=False).passed, name
+                on_torus += 1
+    assert on_torus >= 9

@@ -1,4 +1,5 @@
 import re
+import sys
 from collections import Counter
 from itertools import product as _cartesian
 from math import prod
@@ -259,6 +260,22 @@ def test_unsupported_dimensions_raise():
         render(plc4, RenderSpec("ascii", "group_elements"))
     with pytest.raises(ValueError):
         render(plc4, RenderSpec("svg", "group_elements"))
+
+
+def test_axis_count_is_checked_before_labelling(monkeypatch):
+    # minkowski used to be instantiated and labelled (54,872 vertices)
+    # before the ascii render raised
+    def fail(*args, **kwargs):
+        raise AssertionError("labelled before the axis check")
+    inst = PDDSInstance((3, 3, 3), 1, BoxSpec((1, 1, 1)), [Shape.of([(0, 0, 0)])])
+    module = sys.modules[render.__module__]
+    monkeypatch.setattr(module, "instantiate_on_torus", fail)
+    monkeypatch.setattr(module, "coverage", fail)
+    for obj in (minkowski_p2(), inst):
+        with pytest.raises(ValueError, match="ascii rendering needs a 2-axis torus, got 3"):
+            render(obj, RenderSpec("ascii", "devices"))
+    with pytest.raises(ValueError, match="svg rendering needs 2 or 3 axes, got 4"):
+        render(plc_n1(4), RenderSpec("svg", "devices"))
 
 
 def test_component_dimension_must_match_torus():

@@ -20,11 +20,12 @@ from pdds.constructions import (
     pdds_t_path_2d,
     plc_n1,
 )
-from pdds.lattice import (BoxSpec, Shape, _offset_ball, box_shape, strides,
-                          translate)
+from pdds.lattice import (BoxSpec, Shape, _offset_ball, box_shape, check_radius,
+                          lee_distance, strides, translate)
 from pdds.verifier import (
     MAX_VOLUME,
     PDDSInstance,
+    VerificationReport,
     Violation,
     _box_extents,
     _box_violations,
@@ -50,6 +51,63 @@ SMALL_CATALOG = [
     pdds1_q3(),
     nonlattice_p2_example(),
 ]
+
+
+# --------------------------------------------------------------------------
+# The brute-force scan, verify_pdds's oracle: the same input checks and box
+# check, with coverage found over every (vertex, component) pair.
+# --------------------------------------------------------------------------
+
+def _coverage_scan(inst):
+    """Distances by brute force over (vertex, component) pairs.
+
+    Yields (vertex, covering) where covering lists
+    (component_id, min_distance, minimizer_count, device) for every
+    component within distance t, in component order.
+    """
+    dims = inst.torus
+    for x in itertools.product(*(range(d) for d in dims)):
+        covering = []
+        for cid, comp in enumerate(inst.components):
+            best = None
+            count = 0
+            dev = None
+            for w in comp.vertices:
+                d = lee_distance(x, w, dims)
+                if best is None or d < best:
+                    best, count, dev = d, 1, w
+                elif d == best:
+                    count += 1
+            if best is not None and best <= inst.t:
+                covering.append((cid, best, count, dev))
+        yield x, covering
+
+
+def _verify_by_scan(inst, *, strict_box=True):
+    """verify_pdds with coverage read off :func:`_coverage_scan`."""
+    check_radius(inst.t)
+    if not all(comp.vertices for comp in inst.components):
+        raise ValueError("empty component")
+    classes = _translation_classes(inst)
+    violations = []
+    for x, covering in _coverage_scan(inst):
+        if not covering:
+            violations.append(Violation(
+                x, "uncovered", f"no component within distance {inst.t}"))
+        elif len(covering) > 1:
+            ids = ", ".join(str(c[0]) for c in covering)
+            violations.append(Violation(
+                x, "multi_component", f"components {ids} all within distance {inst.t}"))
+        else:
+            cid, d, count, _ = covering[0]
+            if count > 1:
+                violations.append(Violation(
+                    x, "ambiguous_nearest",
+                    f"{count} nearest vertices in component {cid} at distance {d}"))
+    if strict_box:
+        violations.extend(_box_violations(inst, classes.class_of))
+    violations.sort(key=lambda v: (v.vertex, v.kind))
+    return VerificationReport(not violations, violations)
 
 
 def test_kernel_elements_match_brute_force():
@@ -120,14 +178,14 @@ def test_methods_agree_on_valid_and_broken_instances():
     for c in (plc_n1(2), pdds1_square(0), pdds1_q3(),
               nonlattice_p2_example(), pdds_t_path_2d(2, 3, "two_copy")):
         inst = instantiate_on_torus(c)
-        by_scan = verify_pdds(inst, method="scan")
-        by_exp = verify_pdds(inst, method="expansion")
+        by_scan = _verify_by_scan(inst)
+        by_exp = verify_pdds(inst)
         assert by_scan.to_json() == by_exp.to_json()
         # drop one component: both methods must see identical violations
         broken = PDDSInstance(inst.torus, inst.t, inst.h_spec,
                               list(inst.components[1:]))
-        s = verify_pdds(broken, method="scan")
-        e = verify_pdds(broken, method="expansion")
+        s = _verify_by_scan(broken)
+        e = verify_pdds(broken)
         assert not s.passed
         assert s.to_json() == e.to_json()
 
@@ -341,17 +399,17 @@ def test_instantiate_rejects_corrupted_tile_with_witness():
 def test_verify_pdds_rejects_negative_t():
     inst = instantiate_on_torus(plc_n1(2))
     negative = PDDSInstance(inst.torus, -1, inst.h_spec, list(inst.components))
-    for method in ("scan", "expansion"):
+    for verify in (_verify_by_scan, verify_pdds):
         with pytest.raises(ValueError, match="nonnegative integer"):
-            verify_pdds(negative, method=method)
+            verify(negative)
 
 
 @pytest.mark.parametrize("torus, t", [((600, 1), 300), ((512,), 256)])
 def test_distances_of_256_and_more_verify(torus, t):
     inst = PDDSInstance(torus, t, BoxSpec((1,) * len(torus)),
                         [Shape.of([(0,) * len(torus)])])
-    for method in ("scan", "expansion"):
-        assert verify_pdds(inst, method=method).passed, method
+    for verify in (_verify_by_scan, verify_pdds):
+        assert verify(inst).passed, verify.__name__
 
 
 @pytest.mark.parametrize("dims, t", [
@@ -394,8 +452,8 @@ def small_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_instances())
 def test_scan_equals_expansion_on_random_instances(inst):
-    by_scan = verify_pdds(inst, method="scan")
-    by_exp = verify_pdds(inst, method="expansion")
+    by_scan = _verify_by_scan(inst)
+    by_exp = verify_pdds(inst)
     assert by_scan.to_json() == by_exp.to_json()
 
 
@@ -642,9 +700,9 @@ def test_verify_partition_matches_per_vertex_reference():
 
 def test_wrong_dimension_component_raises_on_both_paths():
     inst = PDDSInstance((5, 5), 1, BoxSpec((1, 1)), [Shape.of([(0, 0, 0)])])
-    for method in ("expansion", "scan"):
+    for verify in (verify_pdds, _verify_by_scan):
         with pytest.raises(ValueError):
-            verify_pdds(inst, method=method)
+            verify(inst)
     with pytest.raises(ValueError, match="component dimension differs"):
         coverage(inst)
 
@@ -673,7 +731,7 @@ def test_oversized_torus_is_rejected_before_allocating():
     huge = (1_000_000, 1_000_000)
     inst = PDDSInstance(huge, 1, BoxSpec((1, 1)), [Shape.of([(0, 0)])])
     c = plc_n1(2)
-    for call in (lambda: verify_pdds(inst), lambda: verify_pdds(inst, method="scan"),
+    for call in (lambda: verify_pdds(inst), lambda: _verify_by_scan(inst),
                  lambda: coverage(inst), lambda: verify_partition(inst, c.tile, c.hom),
                  lambda: instantiate_on_torus(c, huge)):
         with pytest.raises(ValueError, match="more than the verifier's limit"):
