@@ -25,9 +25,9 @@ from typing import Callable, Optional, Sequence
 
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
                       check_bijection, molnar_k_set)
-from .lattice import (BoxSpec, Point, Shape, box_shape, check_point,
-                      check_radius, is_box, is_int, nearest_within, translate,
-                      unit_vector)
+from .lattice import (MAX_VOLUME, BoxSpec, Point, Shape, box_shape,
+                      check_point, check_radius, is_box, is_int,
+                      nearest_within, translate, unit_vector)
 
 
 @dataclass
@@ -222,6 +222,13 @@ def _validate(c: Construction) -> Construction:
     return c
 
 
+def _check_size(order: int, n: int) -> None:
+    """ValueError for a tile of ``order`` vertices in Z^n above MAX_VOLUME."""
+    if order * n > MAX_VOLUME:
+        raise ValueError(f"a tile of {order} vertices in Z^{n} has {order * n} "
+                         f"coordinates, more than the limit of {MAX_VOLUME}")
+
+
 def _resolve_generators(group: AbelianGroup,
                         candidates: Sequence[tuple[GroupElement, ...]],
                         vertices: Sequence[Point],
@@ -254,6 +261,7 @@ def plc_n1(n: int, group: Optional[AbelianGroup] = None) -> Construction:
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
+    _check_size(2 * n + 1, n)
     if group is None:
         group = AbelianGroup((2 * n + 1,))
     if group.order != 2 * n + 1:
@@ -276,6 +284,7 @@ def pdds1_path(n: int, k: int) -> Construction:
     if k < 1:
         raise ValueError(f"path length must be positive, got {k}")
     order = 2 * n * k - k + 2
+    _check_size(order, n)
     group = AbelianGroup((order,))
     hom = Homomorphism(group, tuple(((i * k + 1) % order,) for i in range(n)))
     spec = BoxSpec((k,) + (1,) * (n - 1))
@@ -296,6 +305,7 @@ def pdds_t_path_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
     """
     if t < 1 or k < 1:
         raise ValueError(f"need t >= 1 and k >= 1, got t={t} k={k}")
+    _check_size((2 if variant == "two_copy" else 1) * (2 * t * t + 2 * t * k + k), 2)
     spec = BoxSpec((1, k))
     h = box_shape(spec)
     if variant == "two_copy":
@@ -344,6 +354,7 @@ def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
     """
     if t < 1 or k < 1:
         raise ValueError(f"need t >= 1 and k >= 1, got t={t} k={k}")
+    _check_size((2 if variant == "two_copy" else 1) * 2 * (t + 1) * (t + k), 2)
     spec = BoxSpec((2, k))
     h = box_shape(spec)
     if variant == "two_copy":
@@ -386,6 +397,7 @@ def pdds1_square(k: int) -> Construction:
         raise ValueError(f"need k >= 0, got {k}")
     n = 3 * k + 2
     order = 24 * k + 12
+    _check_size(order, n)
     group = AbelianGroup((order,))
     gens = [2 + 4 * k, 3 + 6 * k]
     gens += [2 + 4 * k + i for i in range(1, k + 1)]

@@ -23,6 +23,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 Point = tuple[int, ...]
 TorusDims = tuple[int, ...]
 
+# The largest torus the verifier allocates per-vertex arrays for (coverage
+# keeps about 10 bytes a vertex, so about 170 MB), and the most coordinates
+# a catalog builder lays out in one tile.
+MAX_VOLUME = 1 << 24
+
 
 def check_torus(dim: int, torus: Optional[TorusDims]) -> Optional[TorusDims]:
     """Validate torus dimensions against a vertex dimension.
@@ -231,9 +236,6 @@ class Shape:
     def __iter__(self) -> Iterator[Point]:
         return iter(self.vertices)
 
-    def as_set(self) -> frozenset[Point]:
-        return frozenset(self.vertices)
-
 
 def box_shape(spec: BoxSpec) -> Shape:
     """All lattice points of the origin-anchored box, canonically ordered.
@@ -328,25 +330,32 @@ def t_neighborhood(shape: Shape, t: int,
     return Shape(shape.dim, tuple(sorted(nearest_within(shape.vertices, t, torus))))
 
 
-def is_box(shape: Shape) -> Optional[BoxSpec]:
+def is_box(shape: Shape, torus: Optional[TorusDims] = None) -> Optional[BoxSpec]:
     """Extents of the shape if it is exactly an axis-aligned box, else None.
 
-    The box may be anchored anywhere: the test is that the shape fills its
-    own bounding box.  Vertices are duplicate-free, so that holds exactly
-    when their count equals the bounding box's volume.  Torus vertex sets
-    need a check that allows wrap-around instead (the verifier checks each
-    axis for one cyclic interval).
+    On each axis the coordinates, reduced mod the torus if one is given,
+    must form one interval: exactly one coordinate c has c - 1 absent (mod
+    d on a torus axis of length d > 1, so an interval may wrap the seam,
+    and gaps and full rings are rejected).  The shape then equals the box
+    of those intervals exactly when its size is the box's volume (two
+    vertices equal mod the torus make it too large).
 
     >>> is_box(Shape.of([(3, 1), (4, 1)]))
     BoxSpec(extents=(2, 1))
     >>> is_box(Shape.of([(0, 0), (1, 1)])) is None
     True
+    >>> is_box(Shape.of([(0, 0), (4, 0)]), (5, 3))
+    BoxSpec(extents=(2, 1))
     """
+    dims = check_torus(shape.dim, torus)
     if not shape.vertices:
         return None
-    lows = [min(v[i] for v in shape.vertices) for i in range(shape.dim)]
-    highs = [max(v[i] for v in shape.vertices) for i in range(shape.dim)]
-    extents = tuple(h - l + 1 for l, h in zip(lows, highs))
-    if prod(extents) != len(shape.vertices):
-        return None
-    return BoxSpec(extents)
+    extents = []
+    for i in range(shape.dim):
+        d = None if dims is None else dims[i]
+        coords = {v[i] if d is None else v[i] % d for v in shape.vertices}
+        starts = sum((c - 1 if d is None else (c - 1) % d) not in coords for c in coords)
+        if starts != 1 and d != 1:
+            return None
+        extents.append(len(coords))
+    return BoxSpec(tuple(extents)) if prod(extents) == len(shape) else None

@@ -30,13 +30,9 @@ from .abelian import (Homomorphism, check_bijection, check_periods,
                       syndrome_columns, syndrome_rank, syndrome_ranks,
                       torus_periods)
 from .constructions import Construction, Tile
-from .lattice import (BoxSpec, Point, Shape, check_radius, check_torus,
-                      lee_distance, nearest_within, shifted_flats, unflatten)
-
-# The largest torus the verifier allocates per-vertex arrays for: coverage
-# keeps about 10 bytes a vertex, so about 170 MB.  The test suite's largest
-# torus has 1.87 million vertices.
-MAX_VOLUME = 1 << 24
+from .lattice import (MAX_VOLUME, BoxSpec, Point, Shape, check_radius,
+                      check_torus, is_box, lee_distance, nearest_within,
+                      shifted_flats, unflatten)
 
 
 @dataclass
@@ -180,31 +176,12 @@ def instantiate_on_torus(construction: Construction,
 # Verification.
 # --------------------------------------------------------------------------
 
-def _box_extents(comp: Shape, dims: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Extents of the torus vertex set if it is a translate of a box, else None.
-
-    Coordinates are reduced mod the torus first, as JSON input need not be.
-    On each axis of length d > 1 they must then form one cyclic interval
-    shorter than the axis: exactly one coordinate c has c - 1 (mod d)
-    absent, which rejects gaps and full rings alike.  The set is then inside
-    the box of those intervals, and equals it exactly when its size is the
-    box's volume (two vertices equal mod the torus make it too large).
-    """
-    extents = []
-    for i, d in enumerate(dims):
-        coords = {v[i] % d for v in comp.vertices}
-        if d > 1 and sum((c - 1) % d not in coords for c in coords) != 1:
-            return None
-        extents.append(len(coords))
-    return tuple(extents) if prod(extents) == len(comp) else None
-
-
 def _box_violations(inst: PDDSInstance, class_of: list[int]) -> list[Violation]:
     """component_not_box violations, in component order.
 
     Members of one translation class (``class_of``, from
     :func:`_translation_classes`) are the same vertex set moved on the
-    torus, so ``_box_extents`` runs once per class, on its first member;
+    torus, so ``lattice.is_box`` runs once per class, on its first member;
     every failing member still gets its own vertex and message.
     """
     want = tuple(sorted(inst.h_spec.extents))
@@ -213,12 +190,12 @@ def _box_violations(inst: PDDSInstance, class_of: list[int]) -> list[Violation]:
     for cid, k in enumerate(class_of):
         comp = inst.components[cid]
         if k == len(details):           # classes are numbered by first member
-            extents = _box_extents(comp, inst.torus)
-            if extents is None:
+            spec = is_box(comp, inst.torus)
+            if spec is None:
                 details.append(f"({len(comp)} vertices) does not induce an "
                                f"axis-aligned box on the torus")
-            elif tuple(sorted(extents)) != want:
-                details.append(f"is a box of extents {extents}, not an "
+            elif tuple(sorted(spec.extents)) != want:
+                details.append(f"is a box of extents {spec.extents}, not an "
                                f"axis permutation of {inst.h_spec.extents}")
             else:
                 details.append(None)
@@ -237,12 +214,12 @@ class _Classes(NamedTuple):
 def _translation_classes(inst: PDDSInstance) -> _Classes:
     """The components grouped by vertex set modulo torus translation.
 
-    A class key is a component's vertex offsets from its first vertex, mod
-    the torus, in vertex order; translates that wrap differently may get
-    separate keys, which is still correct.  Classes are numbered in order of
-    their first member: ``keys[k]`` is class k's key, ``anchors[k]`` its
-    members' first vertices in component order, and ``class_of[cid]`` the
-    class of component cid.  Raises ValueError for a component whose
+    Components share a class exactly when they are torus translates,
+    however they wrap the seam.  Classes are numbered in order of their
+    first member: ``keys[k]`` is its vertex offsets from its first vertex,
+    mod the torus; ``anchors[k]`` holds per member, in component order, an
+    a with key + a equal to the member mod the torus; ``class_of[cid]`` is
+    the class of component cid.  Raises ValueError for a component whose
     dimension is not the torus's and for a torus above ``MAX_VOLUME``:
     every verify path starts here.
     """
@@ -250,18 +227,34 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
     if any(comp.dim != inst.dim for comp in inst.components):
         raise ValueError("component dimension differs from torus dimension")
     _check_volume(dims)
-    index: dict[tuple[Point, ...], int] = {}
+
+    # A new class maps its sorted offsets as seen from each of its vertices
+    # u (at offset s from its first vertex) to (class, s): a translate's
+    # sorted offsets from its own first vertex w then find it, with anchor
+    # w - s.  Offsets in vertex order are kept too, so a repeat needs no sort.
+    zero = (0,) * len(dims)
+    index: dict[tuple[Point, ...], tuple[int, Point]] = {}
+    keys: list[tuple[Point, ...]] = []
     anchors: list[list[Point]] = []
     class_of = []
     for comp in inst.components:
-        base = comp.vertices[0] if comp.vertices else (0,) * len(dims)
-        key = tuple(tuple(map(mod, map(sub, v, base), dims)) for v in comp.vertices)
-        k = index.setdefault(key, len(anchors))
-        if k == len(anchors):
-            anchors.append([])
-        anchors[k].append(base)
+        w = comp.vertices[0] if comp.vertices else zero
+        key = tuple(tuple(map(mod, map(sub, v, w), dims)) for v in comp.vertices)
+        found = index.get(key)
+        if found is None:
+            found = index.get(tuple(sorted(key)))
+            if found is None:
+                found = (len(keys), zero)
+                keys.append(key)
+                anchors.append([])
+                for s in key:
+                    seen = (tuple(map(mod, map(sub, o, s), dims)) for o in key)
+                    index.setdefault(tuple(sorted(seen)), (found[0], s))
+            index[key] = found
+        k, shift = found
+        anchors[k].append(tuple(map(sub, w, shift)) if any(shift) else w)
         class_of.append(k)
-    return _Classes(list(index), anchors, class_of)
+    return _Classes(keys, anchors, class_of)
 
 
 def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
@@ -283,7 +276,7 @@ def _coverage(inst: PDDSInstance, classes: _Classes):
     """:func:`coverage` from the instance's translation classes.
 
     Members of a class are translates: one local map, shifted to each
-    member's first vertex, serves the whole class.
+    member's anchor, serves the whole class.
     """
     dims = inst.torus
     volume = inst.volume
@@ -418,38 +411,22 @@ def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
 def is_lattice_like(inst: PDDSInstance) -> bool:
     """Is the instance a lattice of translates of a single component?
 
-    True when every component is a torus-translate of the first and the set
-    of translation offsets is closed under subtraction (i.e. forms a
+    True when the components form one translation class
+    (:func:`_translation_classes`) and the anchors' offsets from the first
+    anchor, mod the torus, are closed under subtraction (i.e. form a
     subgroup of the torus).  Intended for instances that already passed
     verification.
     """
-    if not inst.components:
-        return True
     dims = inst.torus
-    base = inst.components[0]
-    base_set = base.as_set()
-    base_anchor = base.vertices[0]
-    offsets: set[Point] = set()
-    for comp in inst.components:
-        if len(comp) != len(base):
-            return False
-        found = None
-        for u in comp.vertices:
-            z = tuple((a - b) % d for a, b, d in zip(u, base_anchor, dims))
-            shifted = {tuple((a + b) % d for a, b, d in zip(v, z, dims))
-                       for v in base_set}
-            if shifted == comp.as_set():
-                found = z
-                break
-        if found is None:
-            return False
-        offsets.add(found)
+    classes = _translation_classes(inst)
+    if len(classes.keys) != 1:
+        return not inst.components
+    anchors = classes.anchors[0]
+    offsets = {tuple(map(mod, map(sub, a, anchors[0]), dims)) for a in anchors}
 
     # Subgroup test by incremental closure: grow the subgroup generated by
     # the offsets, bailing out as soon as it leaves the offset set.
     subgroup: set[Point] = {(0,) * len(dims)}
-    if (0,) * len(dims) not in offsets:
-        return False
     for z in sorted(offsets):
         if z in subgroup:
             continue
@@ -457,11 +434,10 @@ def is_lattice_like(inst: PDDSInstance) -> bool:
         current = list(subgroup)
         shift = z
         while shift not in subgroup:
-            coset = [tuple((a + b) % d for a, b, d in zip(v, shift, dims))
-                     for v in current]
-            for w in coset:
+            for v in current:
+                w = tuple(map(mod, map(add, v, shift), dims))
                 if w not in offsets:
                     return False
                 subgroup.add(w)
-            shift = tuple((a + b) % d for a, b, d in zip(shift, z, dims))
+            shift = tuple(map(mod, map(add, shift, z), dims))
     return len(subgroup) == len(offsets)

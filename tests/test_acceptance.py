@@ -43,6 +43,7 @@ from pdds.lattice import (BoxSpec, Shape, _offset_ball, box_shape, is_box,
                           lee_distance, t_neighborhood)
 from pdds.search import SearchProblem, exact_cover_search
 from pdds.verifier import (
+    _translation_classes,
     instantiate_on_torus,
     is_lattice_like,
     verify_partition,
@@ -204,18 +205,22 @@ def test_criterion_03_neighborhood_size_formulas():
 
 
 def test_criterion_04_lattice_likeness():
+    # Every entry but nonlattice is a lattice of translates of one component
+    # on its period torus, the two-copy tiles included, and so is exactly
+    # one translation class, however its translates wrap the seam.
     skipped = []
     checked = 0
     for name, con in CATALOG:
-        if not con.lattice_like:
-            continue
         if period_volume(con) > VERIFY_CAP:
             skipped.append(name)
             continue
-        assert is_lattice_like(instantiate_on_torus(con)), name
+        inst = instantiate_on_torus(con)
+        lattice = is_lattice_like(inst)
+        assert lattice == (name != "nonlattice"), name
+        assert (len(_translation_classes(inst).keys) == 1) == lattice, name
         checked += 1
     report_skips("criterion 4", skipped)
-    assert checked >= 50
+    assert checked >= 90 and checked + len(skipped) == 100
     inst = instantiate_on_torus(nonlattice_p2_example())
     assert inst.torus == (8, 8)
     assert not is_lattice_like(inst)

@@ -101,6 +101,14 @@ def test_construct_parameter_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("path", "--n", "2", "--k", "1000000000"),
+                                  ("path2d", "--t", "1000000", "--k", "1")])
+def test_construct_rejects_tiles_over_the_limit(capsys, argv):
+    code, out, err = invoke(capsys, "construct", "--family", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("pdds construct:") and "more than the limit" in err
+
+
 def test_construct_family_parameters(capsys):
     code, out, _ = invoke(capsys, "construct", "--family", "box2xk",
                           "--t", "2", "--k", "1", "--variant", "two")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -187,7 +188,7 @@ def test_tile_labels_cover_shape_with_valid_devices():
         comps = tile.components()
         for v, (cid, device) in tile.labels.items():
             assert 0 <= cid < len(comps)
-            assert device in comps[cid].as_set()
+            assert device in comps[cid].vertices
 
 
 def test_all_tiles_map_bijectively():
@@ -345,6 +346,33 @@ def test_construction_json_rejects_huge_t_before_the_walk():
     with pytest.raises(ValueError, match="t = 1000000 is too large"):
         Construction.from_json(dict(plc_n1(2).to_json(), t=10**6))
     assert time.perf_counter() - started < 0.1
+
+
+@pytest.mark.parametrize("build, args", [
+    (pdds_t_path_2d, (10**6, 1)),                 # about 2*10**12 vertices
+    (pdds_t_path_2d, (2047, 1, "two_copy")),      # one copy fits the limit, two do not
+    (pdds_t_box2xk_2d, (10**6, 1, "single_copy")),
+    (pdds1_path, (2, 10**9)),
+    (pdds1_square, (10**6,)),
+    (plc_n1, (10**7,)),
+])
+def test_builders_reject_tiles_over_max_volume_before_building(build, args):
+    # path2d with t = 200 used to take 5 s and 348 MB; path with
+    # k = 3000000 ran for minutes
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="coordinates, more than the limit"):
+        build(*args)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_catalog_dumps_are_pinned():
+    # sha256 over the 100 catalog dumps() in catalog order; a change here
+    # changes every file `pdds construct` writes
+    digest = hashlib.sha256()
+    for _, con in CATALOG:
+        digest.update(con.dumps().encode())
+    assert digest.hexdigest() == \
+        "e71581d3830fc2f0f9b38beb9aeef290ff3b6e3bb684bbaa0310ee47035ba43d"
 
 
 @pytest.mark.parametrize("seed", [3, 7])

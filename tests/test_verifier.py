@@ -1,6 +1,7 @@
 import itertools
 import random
-from math import prod
+from collections import Counter
+from math import gcd, prod
 from operator import add
 
 import pytest
@@ -21,13 +22,12 @@ from pdds.constructions import (
     plc_n1,
 )
 from pdds.lattice import (BoxSpec, Shape, _offset_ball, box_shape, check_radius,
-                          lee_distance, strides, translate)
+                          is_box, lee_distance, strides, translate)
 from pdds.verifier import (
     MAX_VOLUME,
     PDDSInstance,
     VerificationReport,
     Violation,
-    _box_extents,
     _box_violations,
     _kernel_elements,
     _translation_classes,
@@ -108,6 +108,51 @@ def _verify_by_scan(inst, *, strict_box=True):
         violations.extend(_box_violations(inst, classes.class_of))
     violations.sort(key=lambda v: (v.vertex, v.kind))
     return VerificationReport(not violations, violations)
+
+
+def _is_lattice_like_by_shift_search(inst):
+    """is_lattice_like's oracle: for each component, search the shifts that
+    move the first component's vertices onto one of its vertices, then test
+    the offsets found for a subgroup by incremental closure."""
+    if not inst.components:
+        return True
+    dims = inst.torus
+    base = inst.components[0]
+    base_set = set(base.vertices)
+    base_anchor = base.vertices[0]
+    offsets = set()
+    for comp in inst.components:
+        if len(comp) != len(base):
+            return False
+        found = None
+        for u in comp.vertices:
+            z = tuple((a - b) % d for a, b, d in zip(u, base_anchor, dims))
+            shifted = {tuple((a + b) % d for a, b, d in zip(v, z, dims))
+                       for v in base_set}
+            if shifted == set(comp.vertices):
+                found = z
+                break
+        if found is None:
+            return False
+        offsets.add(found)
+
+    subgroup = {(0,) * len(dims)}
+    if (0,) * len(dims) not in offsets:
+        return False
+    for z in sorted(offsets):
+        if z in subgroup:
+            continue
+        current = list(subgroup)
+        shift = z
+        while shift not in subgroup:
+            coset = [tuple((a + b) % d for a, b, d in zip(v, shift, dims))
+                     for v in current]
+            for w in coset:
+                if w not in offsets:
+                    return False
+                subgroup.add(w)
+            shift = tuple((a + b) % d for a, b, d in zip(shift, z, dims))
+    return len(subgroup) == len(offsets)
 
 
 def test_kernel_elements_match_brute_force():
@@ -319,6 +364,133 @@ def test_is_lattice_like_requires_offsets_to_form_subgroup():
     mixed = PDDSInstance((4, 4), 0, BoxSpec((2, 1)),
                          [Shape.of([(0, 0), (1, 0)]), Shape.of([(0, 2), (0, 3)])])
     assert not is_lattice_like(mixed)
+    empty = PDDSInstance((4, 4), 0, BoxSpec((2, 1)), [])
+    assert is_lattice_like(empty)
+    for inst in (good, bad, mixed, empty):
+        assert is_lattice_like(inst) == _is_lattice_like_by_shift_search(inst)
+
+
+def test_is_lattice_like_matches_shift_search_on_catalog():
+    # every catalog torus of at most 70k vertices, seam-wrapping translates
+    # included; all but nonlattice are one class of translates
+    checked = Counter()
+    for name, con in CATALOG:
+        if period_volume(con) > 70_000:
+            continue
+        inst = instantiate_on_torus(con)
+        got = is_lattice_like(inst)
+        assert got == _is_lattice_like_by_shift_search(inst), name
+        assert (len(_translation_classes(inst).keys) == 1) == got, name
+        checked[got] += 1
+    assert checked == {True: 84, False: 1}
+
+
+def _cyclic_order(g, dims):
+    """The order of g in the torus group."""
+    order = 1
+    for c, d in zip(g, dims):
+        q = d // gcd(c, d)
+        order = order * q // gcd(order, q)
+    return order
+
+
+@st.composite
+def box_translate_sets(draw):
+    """Translates of one box on a torus of 1-3 axes of 2-7, reduced mod
+    the torus, so some wrap the seam.
+
+    The box's extents are below the axes (and at most 3), so no translate
+    but the zero one maps it to itself.  In about half of them the
+    translates are a coset of a subgroup generated by one or two elements
+    of order at most 6, else up to 6 drawn translates, repeats allowed.
+    In about a third one component that is not a translate is added: an
+    arbitrary vertex set of about the box's size.
+    """
+    n = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(2, 7)) for _ in range(n))
+    spec = BoxSpec(tuple(draw(st.integers(1, min(d - 1, 3))) for d in dims))
+    box = box_shape(spec)
+    vertex = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    if draw(st.booleans()):
+        gens = []
+        for g in draw(st.lists(vertex, min_size=1, max_size=2)):
+            order = _cyclic_order(g, dims)
+            q = draw(st.sampled_from([q for q in range(1, 7) if order % q == 0]))
+            gens.append(tuple(c * (order // q) % d for c, d in zip(g, dims)))
+        subgroup = {(0,) * n}
+        frontier = list(subgroup)
+        while frontier:
+            h = frontier.pop()
+            for g in gens:
+                x = tuple((a + b) % d for a, b, d in zip(h, g, dims))
+                if x not in subgroup:
+                    subgroup.add(x)
+                    frontier.append(x)
+        a0 = draw(vertex)
+        shifts = [tuple(map(add, a0, h)) for h in sorted(subgroup)]
+    else:
+        shifts = draw(st.lists(vertex, min_size=1, max_size=6))
+    comps = [translate(box, a, dims) for a in shifts]
+    if draw(st.integers(0, 2)) == 0:
+        comps.append(Shape.of(draw(st.lists(vertex, min_size=1,
+                                            max_size=len(box) + 1))))
+    comps.sort(key=lambda s: s.vertices)
+    return PDDSInstance(dims, draw(st.integers(0, 2)), spec, comps)
+
+
+def _class_signature(comp, dims):
+    """A component's translation class by brute force: its sorted vertex
+    offsets, mod the torus, from whichever vertex makes them least."""
+    return min(tuple(sorted(tuple((a - b) % d for a, b, d in zip(v, u, dims))
+                            for v in comp.vertices))
+               for u in comp.vertices)
+
+
+def _coverage_from_scan(inst):
+    """The :func:`coverage` arrays read off the brute-force scan."""
+    cover = bytearray(inst.volume)
+    comp_of = [-1] * inst.volume
+    count_of = bytearray(inst.volume)
+    multi = {}
+    for flat, (_, covering) in enumerate(_coverage_scan(inst)):
+        if covering:
+            cover[flat] = min(len(covering), 2)
+            comp_of[flat] = covering[0][0]
+            count_of[flat] = min(covering[0][2], 255)
+        if len(covering) > 1:
+            multi[flat] = [c[0] for c in covering]
+    return cover, comp_of, count_of, multi
+
+
+def _translates(dims, box, t, *anchors):
+    return PDDSInstance(dims, t, BoxSpec(box), sorted(
+        (translate(box_shape(BoxSpec(box)), a, dims) for a in anchors),
+        key=lambda s: s.vertices))
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_translate_sets())
+@example(_translates((5,), (2,), 1, (0,), (4,)))                 # wrap, not closed
+@example(_translates((4, 4), (2, 1), 1, (3, 1), (1, 1), (3, 3), (1, 3)))  # wrapped coset
+@example(_translates((6, 3), (2, 2), 0, (5, 2), (1, 2), (3, 2)))  # wraps both axes
+@example(_translates((7,), (3,), 2, (5,), (5,), (1,)))           # repeat, and a wrap
+def test_translation_classes_are_exact(inst):
+    dims = inst.torus
+    classes = _translation_classes(inst)
+    sigs = [_class_signature(comp, dims) for comp in inst.components]
+    # one class per translation class, numbered in order of first member
+    assert len({*zip(classes.class_of, sigs)}) == len(set(sigs)) == len(classes.keys)
+    assert list(dict.fromkeys(classes.class_of)) == list(range(len(classes.keys)))
+    # each key shifted by the member's anchor is the member, mod the torus
+    members = [iter(a) for a in classes.anchors]
+    for comp, k in zip(inst.components, classes.class_of):
+        a = next(members[k])
+        assert sorted(tuple((o + c) % d for o, c, d in zip(off, a, dims))
+                      for off in classes.keys[k]) == \
+            sorted(tuple(c % d for c, d in zip(v, dims)) for v in comp.vertices)
+    assert all(next(m, None) is None for m in members)
+    assert is_lattice_like(inst) == _is_lattice_like_by_shift_search(inst)
+    assert coverage(inst) == _coverage_from_scan(inst)
 
 
 def test_verify_pdds_rejects_malformed_instances():
@@ -464,14 +636,26 @@ def test_instance_json_round_trip(inst):
 
 
 def _box_extents_by_brute_force(verts, dims):
-    """Extents e (each e_i < d_i, or 1 on an axis of length 1) such that the
-    set, reduced mod the torus, is the box of extents e translated to one of
-    its own vertices; None also when two vertices are equal mod the torus."""
-    target = Shape.of(tuple(c % d for c, d in zip(v, dims)) for v in verts)
-    if len(target) != len(verts):
-        return None
-    choices = [range(1, d) if d > 1 else (1,) for d in dims]
-    for exts in itertools.product(*choices):
+    """Extents e such that the set is the box of extents e translated to
+    one of its own vertices, else None.
+
+    On a torus (each e_i < d_i, or 1 on an axis of length 1) the set is
+    reduced mod the torus first, and two vertices equal mod the torus give
+    None.  On the grid (dims None) e ranges over the factorizations of the
+    set's size, the only extents a box of that size can have.
+    """
+    if dims is None:
+        target = Shape.of(verts)
+        size = len(target)
+        divisors = [e for e in range(1, size + 1) if size % e == 0]
+        choices = [exts for exts in itertools.product(divisors, repeat=target.dim)
+                   if prod(exts) == size]
+    else:
+        target = Shape.of(tuple(c % d for c, d in zip(v, dims)) for v in verts)
+        if len(target) != len(verts):
+            return None
+        choices = itertools.product(*(range(1, d) if d > 1 else (1,) for d in dims))
+    for exts in choices:
         for anchor in target.vertices:
             if translate(box_shape(BoxSpec(exts)), anchor, dims) == target:
                 return exts
@@ -483,7 +667,8 @@ def torus_vertex_sets(draw):
     """Boxes (full-axis rings included), holed boxes, unions of two boxes
     (often disconnected) and arbitrary sets, on tori of 1-3 axes of 1-5;
     in half of them each coordinate is moved by -d, 0 or +d, as JSON input
-    may give it unreduced."""
+    may give it unreduced.  About a quarter are then asked on the grid
+    (dims None), where a box that wraps the seam is split in two."""
     dims = tuple(draw(st.integers(1, 5)) for _ in range(draw(st.integers(1, 3))))
     vertex = st.tuples(*(st.integers(0, d - 1) for d in dims))
 
@@ -502,7 +687,7 @@ def torus_vertex_sets(draw):
     if draw(st.booleans()):
         verts = {tuple(c + d * draw(st.integers(-1, 1)) for c, d in zip(v, dims))
                  for v in sorted(verts)}
-    return dims, verts
+    return (None if draw(st.integers(0, 3)) == 0 else dims), verts
 
 
 @settings(max_examples=300, deadline=None)
@@ -513,10 +698,13 @@ def torus_vertex_sets(draw):
 @example(((3,), {(0,), (1,), (5,)}))                  # full ring, unreduced
 @example(((5,), {(-1,), (0,)}))                       # seam domino, unreduced
 @example(((3,), {(0,), (3,)}))                        # one vertex twice mod 3
+@example((None, {(0, 3), (0, 0)}))                    # gap on the grid
+@example((None, {(-1, 2), (0, 2), (-1, 3), (0, 3)}))  # grid box, negative corner
+@example((None, {(0, 0), (1, 1)}))                    # diagonal on the grid
 def test_box_extents_match_brute_force(case):
     dims, verts = case
-    assert _box_extents(Shape.of(verts), dims) == \
-        _box_extents_by_brute_force(verts, dims)
+    spec = is_box(Shape.of(verts), dims)
+    assert (spec and spec.extents) == _box_extents_by_brute_force(verts, dims)
 
 
 # --------------------------------------------------------------------------
@@ -615,16 +803,16 @@ def _box_violations_by_component(inst):
     want = tuple(sorted(inst.h_spec.extents))
     out = []
     for cid, comp in enumerate(inst.components):
-        extents = _box_extents(comp, inst.torus)
-        if extents is None:
+        spec = is_box(comp, inst.torus)
+        if spec is None:
             out.append(Violation(
                 comp.vertices[0], "component_not_box",
                 f"component {cid} ({len(comp)} vertices) does not induce an "
                 f"axis-aligned box on the torus"))
-        elif tuple(sorted(extents)) != want:
+        elif tuple(sorted(spec.extents)) != want:
             out.append(Violation(
                 comp.vertices[0], "component_not_box",
-                f"component {cid} is a box of extents {extents}, not an "
+                f"component {cid} is a box of extents {spec.extents}, not an "
                 f"axis permutation of {inst.h_spec.extents}"))
     return out
 
