@@ -305,28 +305,24 @@ def pdds_t_path_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
     """
     if t < 1 or k < 1:
         raise ValueError(f"need t >= 1 and k >= 1, got t={t} k={k}")
-    _check_size((2 if variant == "two_copy" else 1) * (2 * t * t + 2 * t * k + k), 2)
     spec = BoxSpec((1, k))
-    h = box_shape(spec)
     if variant == "two_copy":
         order = 4 * t * t + 4 * t * k + 2 * k
-        group = AbelianGroup((order,))
-        hom = Homomorphism(group, (((2 * t + 2 * k - 1) % order,), (1,)))
-        copies = [h, translate(h, (t, t + k))]
-        tile = _assemble_tile(copies, t)
-        c = Construction(t, spec, tile, hom)
-    elif variant == "single_copy":
-        order = 2 * t * t + 2 * t * k + k
-        group = AbelianGroup((order,))
-        tile = _assemble_tile([h], t)
-        hom = _resolve_generators(
-            group,
-            [((1,), ((2 * t + 1) % order,)), ((1,), ((t + 1) % order,))],
-            tile.shape.vertices, f"pdds_t_path_2d(t={t}, k={k}, single_copy)")
-        c = Construction(t, spec, tile, hom)
-    else:
+        _check_size(order, 2)
+        h = box_shape(spec)
+        hom = Homomorphism(AbelianGroup((order,)), (((2 * t + 2 * k - 1) % order,), (1,)))
+        tile = _assemble_tile([h, translate(h, (t, t + k))], t)
+        return _validate(Construction(t, spec, tile, hom))
+    if variant != "single_copy":
         raise ValueError(f"variant must be 'two_copy' or 'single_copy', got {variant!r}")
-    return _validate(c)
+    order = 2 * t * t + 2 * t * k + k
+    _check_size(order, 2)
+    tile = _assemble_tile([box_shape(spec)], t)
+    hom = _resolve_generators(
+        AbelianGroup((order,)),
+        [((1,), ((2 * t + 1) % order,)), ((1,), ((t + 1) % order,))],
+        tile.shape.vertices, f"pdds_t_path_2d(t={t}, k={k}, single_copy)")
+    return _validate(Construction(t, spec, tile, hom))
 
 
 def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
@@ -354,20 +350,19 @@ def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
     """
     if t < 1 or k < 1:
         raise ValueError(f"need t >= 1 and k >= 1, got t={t} k={k}")
-    _check_size((2 if variant == "two_copy" else 1) * 2 * (t + 1) * (t + k), 2)
     spec = BoxSpec((2, k))
-    h = box_shape(spec)
     if variant == "two_copy":
         group = AbelianGroup((2 * t + 2 * k, 2 * t + 2))
-        hom = Homomorphism(group, ((0, 1), (1, 0)))
-        copies = [h, translate(h, (t + 1, t + k))]
-        tile = _assemble_tile(copies, t)
-        return _validate(Construction(t, spec, tile, hom))
+        _check_size(group.order, 2)
+        h = box_shape(spec)
+        tile = _assemble_tile([h, translate(h, (t + 1, t + k))], t)
+        return _validate(Construction(t, spec, tile, Homomorphism(group, ((0, 1), (1, 0)))))
     if variant != "single_copy":
         raise ValueError(f"variant must be 'two_copy' or 'single_copy', got {variant!r}")
     size = 2 * (t + 1) * (t + k)
+    _check_size(size, 2)
     m = gcd(t + 1, t + k)
-    tile = _assemble_tile([h], t)
+    tile = _assemble_tile([box_shape(spec)], t)
     assert len(tile.shape) == size
     if m == 1:
         group = AbelianGroup((size,))

@@ -23,9 +23,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 Point = tuple[int, ...]
 TorusDims = tuple[int, ...]
 
-# The largest torus the verifier allocates per-vertex arrays for (coverage
-# keeps about 10 bytes a vertex, so about 170 MB), and the most coordinates
-# a catalog builder lays out in one tile.
+# The largest torus the verifier allocates per-vertex arrays for (about 10
+# bytes a vertex), and the most coordinates a catalog tile may hold.
 MAX_VOLUME = 1 << 24
 
 

@@ -215,46 +215,54 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
     """The components grouped by vertex set modulo torus translation.
 
     Components share a class exactly when they are torus translates,
-    however they wrap the seam.  Classes are numbered in order of their
-    first member: ``keys[k]`` is its vertex offsets from its first vertex,
-    mod the torus; ``anchors[k]`` holds per member, in component order, an
-    a with key + a equal to the member mod the torus; ``class_of[cid]`` is
-    the class of component cid.  Raises ValueError for a component whose
-    dimension is not the torus's and for a torus above ``MAX_VOLUME``:
-    every verify path starts here.
+    however they wrap the seam.  Classes are numbered by first member:
+    ``keys[k]`` is their canonical offsets (:func:`_canonical`),
+    ``anchors[k]`` per member in order an a with key + a equal to it mod
+    the torus, ``class_of[cid]`` the class of component cid.  Raises
+    ValueError for a component whose dimension is not the torus's and for
+    a torus above ``MAX_VOLUME``: every verify path starts here.
     """
     dims = inst.torus
     if any(comp.dim != inst.dim for comp in inst.components):
         raise ValueError("component dimension differs from torus dimension")
     _check_volume(dims)
-
-    # A new class maps its sorted offsets as seen from each of its vertices
-    # u (at offset s from its first vertex) to (class, s): a translate's
-    # sorted offsets from its own first vertex w then find it, with anchor
-    # w - s.  Offsets in vertex order are kept too, so a repeat needs no sort.
-    zero = (0,) * len(dims)
-    index: dict[tuple[Point, ...], tuple[int, Point]] = {}
-    keys: list[tuple[Point, ...]] = []
+    # Offsets from the first vertex w, in vertex order, -> (class, u) with
+    # anchor w + u: a translate that wraps like one met before needs no sort.
+    seen: dict[tuple[Point, ...], tuple[int, Point]] = {}
+    classes: dict[tuple[Point, ...], int] = {}
     anchors: list[list[Point]] = []
     class_of = []
     for comp in inst.components:
-        w = comp.vertices[0] if comp.vertices else zero
+        w = comp.vertices[0] if comp.vertices else (0,) * len(dims)
         key = tuple(tuple(map(mod, map(sub, v, w), dims)) for v in comp.vertices)
-        found = index.get(key)
-        if found is None:
-            found = index.get(tuple(sorted(key)))
-            if found is None:
-                found = (len(keys), zero)
-                keys.append(key)
+        if key not in seen:
+            canon, u = _canonical(key, dims)
+            seen[key] = (classes.setdefault(canon, len(classes)), u)
+            if len(classes) > len(anchors):
                 anchors.append([])
-                for s in key:
-                    seen = (tuple(map(mod, map(sub, o, s), dims)) for o in key)
-                    index.setdefault(tuple(sorted(seen)), (found[0], s))
-            index[key] = found
-        k, shift = found
-        anchors[k].append(tuple(map(sub, w, shift)) if any(shift) else w)
+        k, u = seen[key]
+        anchors[k].append(tuple(map(mod, map(add, w, u), dims)) if any(u) else w)
         class_of.append(k)
-    return _Classes(keys, anchors, class_of)
+    return _Classes(list(classes), anchors, class_of)
+
+
+def _canonical(offsets: tuple[Point, ...], dims: Sequence[int]
+               ) -> tuple[tuple[Point, ...], Point]:
+    """``(canon, u)``: a vertex set's sorted offsets from its vertex u, mod
+    the torus, the same for every translate of the set.  u starts a run on
+    each axis (its predecessor there is absent; on an axis along which the
+    set is invariant, it has coordinate 0) or, if no vertex does, is any
+    vertex; ``canon`` is the least over these.  A box has one such u.
+    """
+    pts = set(offsets)
+    cands = pts
+    for i, d in enumerate(dims):
+        def has_pred(p):
+            return p[:i] + ((p[i] - 1) % d,) + p[i + 1:] in pts
+        invariant = all(map(has_pred, pts))     # along axis i
+        cands = {p for p in cands if (p[i] == 0 if invariant else not has_pred(p))}
+    return min(((tuple(sorted(tuple(map(mod, map(sub, p, u), dims)) for p in offsets)), u)
+                for u in cands or pts), default=((), (0,) * len(dims)))
 
 
 def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,

@@ -355,6 +355,8 @@ def test_construction_json_rejects_huge_t_before_the_walk():
     (pdds1_path, (2, 10**9)),
     (pdds1_square, (10**6,)),
     (plc_n1, (10**7,)),
+    (pdds_t_path_2d, (1, 10**9, "single_copy")),  # k long: no path is built
+    (pdds_t_box2xk_2d, (10**6, 1)),
 ])
 def test_builders_reject_tiles_over_max_volume_before_building(build, args):
     # path2d with t = 200 used to take 5 s and 348 MB; path with
@@ -363,6 +365,12 @@ def test_builders_reject_tiles_over_max_volume_before_building(build, args):
     with pytest.raises(ValueError, match="coordinates, more than the limit"):
         build(*args)
     assert time.perf_counter() - started < 0.1
+
+
+@pytest.mark.parametrize("build", [pdds_t_path_2d, pdds_t_box2xk_2d])
+def test_unknown_variant_is_named_before_the_size(build):
+    with pytest.raises(ValueError, match="variant must be"):
+        build(10**6, 1, "three_copy")
 
 
 def test_catalog_dumps_are_pinned():

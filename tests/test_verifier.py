@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 from collections import Counter
 from math import gcd, prod
 from operator import add
@@ -395,9 +397,13 @@ def _cyclic_order(g, dims):
 
 
 @st.composite
-def box_translate_sets(draw):
+def box_translate_sets(draw, any_shape=False):
     """Translates of one box on a torus of 1-3 axes of 2-7, reduced mod
     the torus, so some wrap the seam.
+
+    With ``any_shape`` the box may span whole axes (so it is its own
+    translate along them), and in half the cases an arbitrary set of up to
+    8 vertices takes its place; the rest is drawn the same way.
 
     The box's extents are below the axes (and at most 3), so no translate
     but the zero one maps it to itself.  In about half of them the
@@ -408,9 +414,12 @@ def box_translate_sets(draw):
     """
     n = draw(st.integers(1, 3))
     dims = tuple(draw(st.integers(2, 7)) for _ in range(n))
-    spec = BoxSpec(tuple(draw(st.integers(1, min(d - 1, 3))) for d in dims))
+    spec = BoxSpec(tuple(draw(st.integers(1, d if any_shape else min(d - 1, 3)))
+                         for d in dims))
     box = box_shape(spec)
     vertex = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    if any_shape and draw(st.booleans()):
+        box = Shape.of(sorted(set(draw(st.lists(vertex, min_size=1, max_size=8)))))
     if draw(st.booleans()):
         gens = []
         for g in draw(st.lists(vertex, min_size=1, max_size=2)):
@@ -463,9 +472,15 @@ def _coverage_from_scan(inst):
 
 
 def _translates(dims, box, t, *anchors):
-    return PDDSInstance(dims, t, BoxSpec(box), sorted(
-        (translate(box_shape(BoxSpec(box)), a, dims) for a in anchors),
-        key=lambda s: s.vertices))
+    return _translates_of(dims, box_shape(BoxSpec(box)), t, *anchors)
+
+
+def _translates_of(dims, shape, t, *anchors):
+    """The translates of shape by the anchors, as an instance whose H is
+    the shape's bounding box."""
+    spec = BoxSpec(tuple(max(c) - min(c) + 1 for c in zip(*shape.vertices)))
+    return PDDSInstance(dims, t, spec, sorted(
+        (translate(shape, a, dims) for a in anchors), key=lambda s: s.vertices))
 
 
 @settings(max_examples=200, deadline=None)
@@ -475,6 +490,56 @@ def _translates(dims, box, t, *anchors):
 @example(_translates((6, 3), (2, 2), 0, (5, 2), (1, 2), (3, 2)))  # wraps both axes
 @example(_translates((7,), (3,), 2, (5,), (5,), (1,)))           # repeat, and a wrap
 def test_translation_classes_are_exact(inst):
+    _assert_exact_classes(inst)
+    assert is_lattice_like(inst) == _is_lattice_like_by_shift_search(inst)
+    assert coverage(inst) == _coverage_from_scan(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_translate_sets(any_shape=True))
+@example(_translates_of((4, 4), Shape.of([(0, 0), (1, 1), (2, 2), (3, 3)]), 1,
+                        (0, 1), (2, 3), (1, 1), (0, 0)))   # diagonal: own translate
+@example(_translates_of((3, 3), Shape.of([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)]),
+                        0, (0, 1), (1, 0), (2, 2)))        # no vertex starts both axes
+@example(_translates((4, 3), (4, 2), 0, (1, 0), (2, 1), (0, 2)))  # full ring on axis 1
+@example(_translates((2, 2), (2, 2), 0, (0, 0), (1, 1)))          # the whole torus
+def test_translation_classes_are_exact_for_any_shape(inst):
+    _assert_exact_classes(inst)
+    assert coverage(inst) == _coverage_from_scan(inst)
+
+
+def test_translation_classes_of_large_boxes_stay_linear():
+    # The class pass must stay linear in a component's size: offsets kept
+    # as seen from each of a box's m vertices would be m**2 points, about
+    # 1 GB for one 64 x 64 box.
+    dims = (128, 128)
+    box, half = box_shape(BoxSpec((64, 64))), box_shape(BoxSpec((64, 32)))
+    tiling = [translate(box, a, dims) for a in ((32, 96), (96, 96), (32, 32))]
+    tiling += [translate(half, a, dims) for a in ((96, 32), (96, 64))]
+    inst = PDDSInstance(dims, 0, BoxSpec((64, 64)), tiling)
+    tracemalloc.start()
+    try:
+        classes = _translation_classes(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classes.class_of == [0, 0, 0, 1, 1]
+    assert peak < 16 * 2**20
+    # A band around a whole axis is its own translate along it: its
+    # candidate vertices are cut to one there, not every vertex tried.
+    band = box_shape(BoxSpec((128, 32)))
+    bands = [translate(band, (5, a), dims) for a in (0, 32, 64, 96)]
+    started = time.perf_counter()
+    classes = _translation_classes(PDDSInstance(dims, 0, BoxSpec((128, 32)), bands))
+    assert classes.class_of == [0, 0, 0, 0]
+    assert time.perf_counter() - started < 2
+    assert verify_pdds(PDDSInstance(dims, 0, BoxSpec((64, 64)),
+                                    tiling[:3] + [translate(box, (96, 32), dims)])).passed
+
+
+def _assert_exact_classes(inst):
+    """The classes are the brute-force translation classes, numbered in
+    order of first member, and each key plus anchor is its member."""
     dims = inst.torus
     classes = _translation_classes(inst)
     sigs = [_class_signature(comp, dims) for comp in inst.components]
@@ -489,8 +554,6 @@ def test_translation_classes_are_exact(inst):
                       for off in classes.keys[k]) == \
             sorted(tuple(c % d for c, d in zip(v, dims)) for v in comp.vertices)
     assert all(next(m, None) is None for m in members)
-    assert is_lattice_like(inst) == _is_lattice_like_by_shift_search(inst)
-    assert coverage(inst) == _coverage_from_scan(inst)
 
 
 def test_verify_pdds_rejects_malformed_instances():
@@ -690,7 +753,7 @@ def torus_vertex_sets(draw):
     return (None if draw(st.integers(0, 3)) == 0 else dims), verts
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(torus_vertex_sets())
 @example(((3,), {(0,), (1,), (2,)}))                  # full ring
 @example(((2, 1), {(0, 0), (1, 0)}))                  # ring of two
