@@ -25,6 +25,10 @@ from .verifier import PDDSInstance, instantiate_on_torus, verify_pdds
 
 _VARIANTS = {"one": "single_copy", "two": "two_copy"}
 
+# Built by the first run() and reused: parsing fills a fresh Namespace each
+# time, so one process can run any number of commands.
+_parser: Optional[argparse.ArgumentParser] = None
+
 
 class _UsageError(Exception):
     """Bad arguments detected after parsing; reported like a parse failure."""
@@ -227,9 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, dispatch, and translate outcomes into exit codes."""
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:        # argparse exits 2 on usage, 0 on --help
         return int(exc.code or 0)
     try:

@@ -25,9 +25,9 @@ from typing import Callable, Optional, Sequence
 
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
                       check_bijection, molnar_k_set)
-from .lattice import (MAX_VOLUME, BoxSpec, Point, Shape, box_shape,
-                      check_point, check_radius, is_box, is_int,
-                      nearest_within, translate, unit_vector)
+from .lattice import (BoxSpec, Point, Shape, box_shape, check_point,
+                      check_radius, is_box, is_int, nearest_within,
+                      translate, unit_vector)
 
 
 @dataclass
@@ -222,11 +222,21 @@ def _validate(c: Construction) -> Construction:
     return c
 
 
+# The most coordinates (vertices times n) a builder assembles.  Time,
+# memory and JSON all grow with the coordinate count, not the vertex count:
+# a whole `pdds construct` took 2-9 us and 0.3-1.3 KB per coordinate on 2-D
+# and high-dimensional families (2-core host, Python 3.11), so 2^18
+# vertices of Z^2 is about 5 s and 0.6 GB.
+MAX_TILE_COORDINATES = 1 << 19
+
+
 def _check_size(order: int, n: int) -> None:
-    """ValueError for a tile of ``order`` vertices in Z^n above MAX_VOLUME."""
-    if order * n > MAX_VOLUME:
-        raise ValueError(f"a tile of {order} vertices in Z^{n} has {order * n} "
-                         f"coordinates, more than the limit of {MAX_VOLUME}")
+    """ValueError for a tile of ``order`` vertices in Z^n over the limit."""
+    if order * n > MAX_TILE_COORDINATES:
+        raise ValueError(
+            f"a tile of {order} vertices in Z^{n} has {order * n} coordinates, "
+            f"more than the limit of {MAX_TILE_COORDINATES} (2^18 vertices of "
+            f"Z^2, about 5 s and 0.6 GB to build)")
 
 
 def _resolve_generators(group: AbelianGroup,

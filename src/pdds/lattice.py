@@ -15,6 +15,7 @@ plain equality of the dataclass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _cartesian
 from math import prod
 from operator import add, mod, sub
@@ -24,7 +25,7 @@ Point = tuple[int, ...]
 TorusDims = tuple[int, ...]
 
 # The largest torus the verifier allocates per-vertex arrays for (about 10
-# bytes a vertex), and the most coordinates a catalog tile may hold.
+# bytes a vertex).
 MAX_VOLUME = 1 << 24
 
 
@@ -257,15 +258,17 @@ def translate(shape: Shape, z: Sequence[int],
     return Shape.of(moved, dim=shape.dim)
 
 
+@lru_cache(maxsize=64)
 def _offset_ball(dim: int, t: int,
-                 dims: Optional[TorusDims]) -> list[tuple[Point, int]]:
+                 dims: Optional[TorusDims]) -> tuple[tuple[Point, int], ...]:
     """Distinct offsets within Lee distance t, with their distance.
 
     On the grid each axis offers -t..t; on a torus each axis offers the
     residues r whose circular distance min(r, d - r) is at most t, so the
     ball never outgrows the torus.  Built axis by axis, in lexicographic
     order, keeping only offsets that fit in the budget the earlier axes
-    left, so each offset appears once.
+    left, so each offset appears once.  Memoised, so the ball is a tuple
+    that no caller can change under another.
     """
     out: list[tuple[Point, int]] = [((), 0)]
     for i in range(dim):
@@ -277,7 +280,7 @@ def _offset_ball(dim: int, t: int,
             axis = sorted({(r % d, abs(r)) for r in range(-reach, reach + 1)})
         out = [(delta + (r,), dist + c) for delta, dist in out
                for r, c in axis if dist + c <= t]
-    return out
+    return tuple(out)
 
 
 def nearest_within(verts: Sequence[Sequence[int]], t: int,

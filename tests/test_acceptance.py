@@ -15,6 +15,7 @@ import random
 import time
 import warnings
 from collections import Counter
+from functools import lru_cache
 from math import prod
 
 from pdds.abelian import (
@@ -84,6 +85,13 @@ def build_catalog():
 CATALOG = build_catalog()
 
 
+@lru_cache(maxsize=None)
+def period_instance(name):
+    """The catalog entry ``name`` on its period torus, instantiated once for
+    every criterion that reads it (callers must not change it)."""
+    return instantiate_on_torus(dict(CATALOG)[name])
+
+
 def period_volume(construction):
     return prod(torus_periods(construction.hom))
 
@@ -151,7 +159,7 @@ def test_criterion_01_catalog_validity_sweep():
         if period_volume(con) > VERIFY_CAP:
             skipped.append(name)
             continue
-        inst = instantiate_on_torus(con)
+        inst = period_instance(name)
         report = verify_pdds(inst)
         assert report.passed, (name, report.to_json()["violations"][:3])
         verified += 1
@@ -214,7 +222,7 @@ def test_criterion_04_lattice_likeness():
         if period_volume(con) > VERIFY_CAP:
             skipped.append(name)
             continue
-        inst = instantiate_on_torus(con)
+        inst = period_instance(name)
         lattice = is_lattice_like(inst)
         assert lattice == (name != "nonlattice"), name
         assert (len(_translation_classes(inst).keys) == 1) == lattice, name
@@ -237,7 +245,7 @@ def test_criterion_05_decoder_matches_brute_scan():
         if period_volume(con) > DECODE_CAP:
             skipped.append(name)
             continue
-        inst = instantiate_on_torus(con)
+        inst = period_instance(name)
         dims = inst.torus
         table = build_syndrome_table(con.tile, con.hom)
         strides = [1] * len(dims)
@@ -298,7 +306,7 @@ def test_criterion_06_partition_iff_bijection():
         if period_volume(con) > PARTITION_CAP:
             skipped.append(name)
             continue
-        inst = instantiate_on_torus(con)
+        inst = period_instance(name)
         assert verify_partition(inst, con.tile, con.hom), name
         assert check_bijection(con.hom, con.tile.shape.vertices).ok, name
         for _ in range(2):

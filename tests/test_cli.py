@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from pdds import cli
 from pdds.cli import run
 from pdds.constructions import pdds1_q3, plc_n1
 from pdds.verifier import PDDSInstance, instantiate_on_torus, verify_pdds
@@ -63,7 +69,9 @@ def test_verify_failing_instance_exits_one(capsys, tmp_path):
     assert payload["violations"]
 
 
-def test_verify_strict_box_flag(capsys, tmp_path):
+def write_mislabeled(tmp_path):
+    """plc1(n=2) on its torus, declared as 2 x 1 boxes: passes only when
+    the box check is off."""
     inst = instantiate_on_torus(plc_n1(2))
     mislabeled = {
         "torus": [5, 5], "t": 1, "h": {"extents": [2, 1]},
@@ -72,6 +80,11 @@ def test_verify_strict_box_flag(capsys, tmp_path):
     }
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(mislabeled))
+    return path
+
+
+def test_verify_strict_box_flag(capsys, tmp_path):
+    path = write_mislabeled(tmp_path)
     code, _, _ = invoke(capsys, "verify", str(path))
     assert code == 1
     code, _, _ = invoke(capsys, "verify", str(path), "--strict-box", "false")
@@ -90,6 +103,51 @@ def test_verify_rejects_full_ring_written_unreduced(capsys, tmp_path, ring):
     assert kinds == {"component_not_box"}
 
 
+def test_one_run_leaks_nothing_into_the_next(capsys, tmp_path, monkeypatch):
+    # One process, one parser: every call gives what a freshly built parser
+    # gives, whatever the calls before it set or failed on.
+    odd = write_mislabeled(tmp_path)
+    con = tmp_path / "plc.json"
+    con.write_text(plc_n1(2).dumps())
+    sequence = [
+        ("verify", str(odd), "--strict-box", "false"),
+        ("verify", str(odd)),
+        ("decode", str(con), "--vertex=-1,-3", "--torus", "10,10"),
+        ("decode", str(con), "--vertex=-1,-3"),
+        ("groups", "--order"),
+        ("--version",),
+        ("--help",),
+        ("groups", "--order", "9"),
+    ]
+
+    def fresh(argv):
+        monkeypatch.setattr(cli, "_parser", None)
+        return invoke(capsys, *argv)
+
+    want = [fresh(argv) for argv in sequence]
+    assert [code for code, _, _ in want] == [0, 1, 0, 0, 2, 0, 0, 0]
+    assert json.loads(want[2][1])["device"] == [9, 8]
+    assert json.loads(want[3][1])["device"] == [4, 3]
+    monkeypatch.setattr(cli, "_parser", None)
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: builds.append(1) or build())
+    got = [invoke(capsys, *argv) for argv in sequence]
+    assert got == want
+    assert len(builds) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the first run() builds it, so an import costs nothing extra
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import pdds.cli as c; assert c._parser is None"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_construct_parameter_errors(capsys):
     code, _, err = invoke(capsys, "construct", "--family", "path")
     assert code == 2
@@ -102,9 +160,14 @@ def test_construct_parameter_errors(capsys):
 
 
 @pytest.mark.parametrize("argv", [("path", "--n", "2", "--k", "1000000000"),
-                                  ("path2d", "--t", "1000000", "--k", "1")])
+                                  ("path2d", "--t", "1000000", "--k", "1"),
+                                  # 8.4 M vertices: minutes and about 20 GB
+                                  ("path2d", "--t", "1447", "--k", "1",
+                                   "--variant", "two")])
 def test_construct_rejects_tiles_over_the_limit(capsys, argv):
+    started = time.perf_counter()
     code, out, err = invoke(capsys, "construct", "--family", *argv)
+    assert time.perf_counter() - started < 0.1
     assert (code, out) == (1, "")
     assert err.startswith("pdds construct:") and "more than the limit" in err
 

@@ -350,13 +350,16 @@ def test_construction_json_rejects_huge_t_before_the_walk():
 
 @pytest.mark.parametrize("build, args", [
     (pdds_t_path_2d, (10**6, 1)),                 # about 2*10**12 vertices
-    (pdds_t_path_2d, (2047, 1, "two_copy")),      # one copy fits the limit, two do not
+    (pdds_t_path_2d, (2047, 1, "two_copy")),      # one copy fitted 2**24 coordinates
     (pdds_t_box2xk_2d, (10**6, 1, "single_copy")),
     (pdds1_path, (2, 10**9)),
     (pdds1_square, (10**6,)),
     (plc_n1, (10**7,)),
     (pdds_t_path_2d, (1, 10**9, "single_copy")),  # k long: no path is built
     (pdds_t_box2xk_2d, (10**6, 1)),
+    (pdds_t_path_2d, (256, 1, "two_copy")),       # one copy fits the limit, two do not
+    (pdds_t_path_2d, (1447, 1, "two_copy")),      # 8.4 M vertices, under 2**24 coordinates
+    (plc_n1, (600,)),                             # 1,201 vertices, 720,600 coordinates
 ])
 def test_builders_reject_tiles_over_max_volume_before_building(build, args):
     # path2d with t = 200 used to take 5 s and 348 MB; path with

@@ -150,7 +150,7 @@ def test_offset_ball_matches_every_grid_offset(dim, t):
     want = [(x, sum(map(abs, x)))
             for x in itertools.product(range(-t, t + 1), repeat=dim)
             if sum(map(abs, x)) <= t]
-    assert _offset_ball(dim, t, None) == want
+    assert _offset_ball(dim, t, None) == tuple(want)
 
 
 @st.composite

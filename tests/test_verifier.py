@@ -659,7 +659,7 @@ def test_circular_offsets_match_every_torus_vertex(dims, t):
         if dist <= t:
             want.append((x, dist))
     # the offset ball coverage's local maps are built from, on a torus
-    assert _offset_ball(len(dims), t, dims) == want
+    assert _offset_ball(len(dims), t, dims) == tuple(want)
 
 
 @st.composite
