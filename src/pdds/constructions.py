@@ -8,12 +8,16 @@ the tile by the homomorphism's kernel then partitions the grid — or any
 torus the homomorphism descends to — into copies of the tile, and the
 component copies inside it form a t-perfect distance-dominating set.
 
-Where source formulas for generator images were ambiguous or failed the
-bijection test, the builders resolve them by trying a short, fixed candidate
-list in a documented order and freezing the first assignment that passes
-``check_bijection``.  The chosen assignments are pinned by regression tests;
-the bijection is always re-checked at build time, so a silently wrong
-assignment cannot escape.
+Every builder ends in one call of :func:`_build`: the tile is the union of
+the component copies' t-neighbourhoods, labelled by :func:`_tile_labels`,
+and the homomorphism takes the first generator tuple from a short, fixed
+candidate list that maps the tile bijectively onto the group.  Families
+with fixed generator images pass a one-element list; where source formulas
+were ambiguous or failed the bijection test, the list holds the
+alternatives in a documented order.  The chosen assignments are pinned by
+regression tests.  The bijection is checked once per candidate at build
+time, and a builder whose candidates all fail raises ValueError, so a
+silently wrong assignment cannot escape.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from typing import Callable, Optional, Sequence
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
                       check_bijection, molnar_k_set)
 from .lattice import (BoxSpec, Point, Shape, box_shape, check_point,
-                      check_radius, is_box, is_int, nearest_within,
-                      translate, unit_vector)
+                      check_radius, is_int, nearest_within, translate)
 
 
 @dataclass
@@ -192,36 +195,6 @@ def _tile_labels(components: dict[int, Sequence[Point]],
     return labels
 
 
-def _assemble_tile(copies: Sequence[Shape], t: int) -> Tile:
-    """Union of the copies' t-neighborhoods with nearest-device labels.
-
-    copies[0] is the origin copy (component id 0); the remaining copies are
-    numbered in canonical order of their least vertex.
-    """
-    rest = sorted(copies[1:], key=lambda s: s.vertices[0])
-    labels = _tile_labels(dict(enumerate(c.vertices for c in [copies[0], *rest])), t)
-    return Tile(Shape.of(labels.keys()), labels)
-
-
-def _validate(c: Construction) -> Construction:
-    """Build-time invariants every catalog construction must satisfy."""
-    n = c.tile.shape.dim
-    res = check_bijection(c.hom, c.tile.shape.vertices)
-    if not res.ok:
-        raise AssertionError(f"tile-to-group map is not a bijection: {res}")
-    origin = (0,) * n
-    required = [origin] + [unit_vector(n, i) for i in range(n)]
-    for p in required:
-        if p not in c.tile.labels:
-            raise AssertionError(f"tile must contain the origin and unit vectors; missing {p}")
-    want = tuple(sorted(c.h_spec.extents))
-    for comp in c.tile.components():
-        spec = is_box(comp)
-        if spec is None or tuple(sorted(spec.extents)) != want:
-            raise AssertionError(f"component {comp.vertices} is not a {c.h_spec.extents} box")
-    return c
-
-
 # The most coordinates (vertices times n) a builder assembles.  Time,
 # memory and JSON all grow with the coordinate count, not the vertex count:
 # a whole `pdds construct` took 2-9 us and 0.3-1.3 KB per coordinate on 2-D
@@ -239,20 +212,22 @@ def _check_size(order: int, n: int) -> None:
             f"Z^2, about 5 s and 0.6 GB to build)")
 
 
-def _resolve_generators(group: AbelianGroup,
-                        candidates: Sequence[tuple[GroupElement, ...]],
-                        vertices: Sequence[Point],
-                        what: str) -> Homomorphism:
-    """First candidate generator tuple that maps the vertex set bijectively.
+def _build(t: int, spec: BoxSpec, copies: Sequence[Shape], group: AbelianGroup,
+           candidates: Sequence[tuple[GroupElement, ...]], what: str) -> Construction:
+    """The construction whose tile is the union of the copies' t-neighbourhoods.
 
-    The candidate order is part of the construction's definition: it is
-    fixed here once and pinned by regression tests, so rebuilds always
-    resolve identically.
+    Component ids are the copies' positions, copies[0] being the origin
+    copy.  The homomorphism takes the first candidate generator tuple that
+    maps the tile bijectively onto ``group``.  The candidate order is part
+    of the construction's definition: it is fixed by the caller and pinned
+    by regression tests, so rebuilds always resolve identically.
     """
+    labels = _tile_labels(dict(enumerate(c.vertices for c in copies)), t)
+    tile = Tile(Shape.of(labels.keys()), labels)
     for gens in candidates:
         hom = Homomorphism(group, gens)
-        if check_bijection(hom, vertices).ok:
-            return hom
+        if check_bijection(hom, tile.shape.vertices).ok:
+            return Construction(t, spec, tile, hom)
     raise ValueError(f"unsupported parameters for {what}: "
                      f"no candidate generator assignment is a bijection")
 
@@ -276,12 +251,9 @@ def plc_n1(n: int, group: Optional[AbelianGroup] = None) -> Construction:
         group = AbelianGroup((2 * n + 1,))
     if group.order != 2 * n + 1:
         raise ValueError(f"group order {group.order} != 2n+1 = {2 * n + 1}")
-    gens = molnar_k_set(group)
-    assert len(gens) == n
-    hom = Homomorphism(group, gens)
-    h = box_shape(BoxSpec((1,) * n))
-    tile = _assemble_tile([h], 1)
-    return _validate(Construction(1, BoxSpec((1,) * n), tile, hom))
+    spec = BoxSpec((1,) * n)
+    return _build(1, spec, [box_shape(spec)], group, [molnar_k_set(group)],
+                  f"plc_n1(n={n}, {group})")
 
 
 def pdds1_path(n: int, k: int) -> Construction:
@@ -295,11 +267,10 @@ def pdds1_path(n: int, k: int) -> Construction:
         raise ValueError(f"path length must be positive, got {k}")
     order = 2 * n * k - k + 2
     _check_size(order, n)
-    group = AbelianGroup((order,))
-    hom = Homomorphism(group, tuple(((i * k + 1) % order,) for i in range(n)))
     spec = BoxSpec((k,) + (1,) * (n - 1))
-    tile = _assemble_tile([box_shape(spec)], 1)
-    return _validate(Construction(1, spec, tile, hom))
+    return _build(1, spec, [box_shape(spec)], AbelianGroup((order,)),
+                  [tuple(((i * k + 1) % order,) for i in range(n))],
+                  f"pdds1_path(n={n}, k={k})")
 
 
 def pdds_t_path_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
@@ -320,19 +291,16 @@ def pdds_t_path_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
         order = 4 * t * t + 4 * t * k + 2 * k
         _check_size(order, 2)
         h = box_shape(spec)
-        hom = Homomorphism(AbelianGroup((order,)), (((2 * t + 2 * k - 1) % order,), (1,)))
-        tile = _assemble_tile([h, translate(h, (t, t + k))], t)
-        return _validate(Construction(t, spec, tile, hom))
+        return _build(t, spec, [h, translate(h, (t, t + k))], AbelianGroup((order,)),
+                      [(((2 * t + 2 * k - 1) % order,), (1,))],
+                      f"pdds_t_path_2d(t={t}, k={k}, two_copy)")
     if variant != "single_copy":
         raise ValueError(f"variant must be 'two_copy' or 'single_copy', got {variant!r}")
     order = 2 * t * t + 2 * t * k + k
     _check_size(order, 2)
-    tile = _assemble_tile([box_shape(spec)], t)
-    hom = _resolve_generators(
-        AbelianGroup((order,)),
-        [((1,), ((2 * t + 1) % order,)), ((1,), ((t + 1) % order,))],
-        tile.shape.vertices, f"pdds_t_path_2d(t={t}, k={k}, single_copy)")
-    return _validate(Construction(t, spec, tile, hom))
+    return _build(t, spec, [box_shape(spec)], AbelianGroup((order,)),
+                  [((1,), ((2 * t + 1) % order,)), ((1,), ((t + 1) % order,))],
+                  f"pdds_t_path_2d(t={t}, k={k}, single_copy)")
 
 
 def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
@@ -365,15 +333,13 @@ def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
         group = AbelianGroup((2 * t + 2 * k, 2 * t + 2))
         _check_size(group.order, 2)
         h = box_shape(spec)
-        tile = _assemble_tile([h, translate(h, (t + 1, t + k))], t)
-        return _validate(Construction(t, spec, tile, Homomorphism(group, ((0, 1), (1, 0)))))
+        return _build(t, spec, [h, translate(h, (t + 1, t + k))], group,
+                      [((0, 1), (1, 0))], f"pdds_t_box2xk_2d(t={t}, k={k}, two_copy)")
     if variant != "single_copy":
         raise ValueError(f"variant must be 'two_copy' or 'single_copy', got {variant!r}")
     size = 2 * (t + 1) * (t + k)
     _check_size(size, 2)
     m = gcd(t + 1, t + k)
-    tile = _assemble_tile([box_shape(spec)], t)
-    assert len(tile.shape) == size
     if m == 1:
         group = AbelianGroup((size,))
         candidates = [(((t + 1) % size,), ((t + k) % size,)),
@@ -384,9 +350,8 @@ def pdds_t_box2xk_2d(t: int, k: int, variant: str = "two_copy") -> Construction:
         candidates = [((1, (t + k) // m % n2), (0, 1)),
                       ((1, (t + k) // m % n2), (1, (t + 1) // m % n2)),
                       ((1, 0), (0, 1))]
-    hom = _resolve_generators(group, candidates, tile.shape.vertices,
-                              f"pdds_t_box2xk_2d(t={t}, k={k}, single_copy)")
-    return _validate(Construction(t, spec, tile, hom))
+    return _build(t, spec, [box_shape(spec)], group, candidates,
+                  f"pdds_t_box2xk_2d(t={t}, k={k}, single_copy)")
 
 
 def pdds1_square(k: int) -> Construction:
@@ -403,15 +368,13 @@ def pdds1_square(k: int) -> Construction:
     n = 3 * k + 2
     order = 24 * k + 12
     _check_size(order, n)
-    group = AbelianGroup((order,))
     gens = [2 + 4 * k, 3 + 6 * k]
     gens += [2 + 4 * k + i for i in range(1, k + 1)]
     gens += [2 + 4 * k - i for i in range(1, k + 1)]
     gens += [5 + 11 * k + i for i in range(1, k + 1)]
-    hom = Homomorphism(group, tuple((g % order,) for g in gens))
     spec = BoxSpec((2, 2) + (1,) * (3 * k))
-    tile = _assemble_tile([box_shape(spec)], 1)
-    return _validate(Construction(1, spec, tile, hom))
+    return _build(1, spec, [box_shape(spec)], AbelianGroup((order,)),
+                  [tuple((g % order,) for g in gens)], f"pdds1_square(k={k})")
 
 
 def pdds1_q3() -> Construction:
@@ -420,11 +383,9 @@ def pdds1_q3() -> Construction:
     Group Z_2 x Z_4 x Z_4 with generator images (1,3,3), (0,1,0), (0,0,1);
     the tile is the cube's 32-vertex neighborhood.
     """
-    group = AbelianGroup((2, 4, 4))
-    hom = Homomorphism(group, ((1, 3, 3), (0, 1, 0), (0, 0, 1)))
     spec = BoxSpec((2, 2, 2))
-    tile = _assemble_tile([box_shape(spec)], 1)
-    return _validate(Construction(1, spec, tile, hom))
+    return _build(1, spec, [box_shape(spec)], AbelianGroup((2, 4, 4)),
+                  [((1, 3, 3), (0, 1, 0), (0, 0, 1))], "pdds1_q3()")
 
 
 def minkowski_p2() -> Construction:
@@ -433,11 +394,9 @@ def minkowski_p2() -> Construction:
     Generator images 1, 11, 7; the tile is the 38-vertex radius-2
     neighborhood of an axis-1 domino.
     """
-    group = AbelianGroup((38,))
-    hom = Homomorphism(group, ((1,), (11,), (7,)))
     spec = BoxSpec((2, 1, 1))
-    tile = _assemble_tile([box_shape(spec)], 2)
-    return _validate(Construction(2, spec, tile, hom))
+    return _build(2, spec, [box_shape(spec)], AbelianGroup((38,)),
+                  [((1,), (11,), (7,))], "minkowski_p2()")
 
 
 def nonlattice_p2_example() -> Construction:
@@ -449,16 +408,14 @@ def nonlattice_p2_example() -> Construction:
     generator images (0,1) and (1,1).  Because the components are not all
     translates of one another, no lattice of translations produces this set.
     """
-    group = AbelianGroup((4, 8))
-    hom = Homomorphism(group, ((0, 1), (1, 1)))
     copies = [
         Shape.of([(0, 1), (1, 1)]),
-        Shape.of([(0, -2), (1, -2)]),
         Shape.of([(-2, -1), (-2, 0)]),
+        Shape.of([(0, -2), (1, -2)]),
         Shape.of([(3, -1), (3, 0)]),
     ]
-    tile = _assemble_tile(copies, 1)
-    return _validate(Construction(1, BoxSpec((2, 1)), tile, hom))
+    return _build(1, BoxSpec((2, 1)), copies, AbelianGroup((4, 8)),
+                  [((0, 1), (1, 1))], "nonlattice_p2_example()")
 
 
 # Family registry used by the command-line interface.

@@ -40,10 +40,10 @@ class DecodeResult(NamedTuple):
 
 
 class SyndromeEntry(NamedTuple):
-    """The tile vertex carrying one syndrome, and where its device lies."""
+    """The tile vertex carrying one syndrome, its component and its device."""
 
     vertex: Point
-    component: int
+    component: tuple[Point, ...]   # the vertices of its component
     device: Point
     distance: int          # from vertex to device, on the period torus
 
@@ -53,17 +53,15 @@ class SyndromeTable:
     """Precomputed syndrome-rank index over a tile's labels.
 
     ``entries[r]`` is the tile vertex whose syndrome has mixed-radix rank r
-    (see ``AbelianGroup.element_rank``), with its component id and device.
-    ``columns`` is ``abelian.syndrome_columns(hom)``, which ranks a query
-    by one dot product per cyclic factor.  ``components`` holds each tile
-    component's vertices, used to report the canonical anchor of the
-    component (translate) that served a query.
+    (see ``AbelianGroup.element_rank``), with its component's vertices
+    (to report the anchor of the translate that served a query) and its
+    device.  ``columns`` is ``abelian.syndrome_columns(hom)``, which ranks
+    a query by one dot product per cyclic factor.
     """
 
     periods: TorusDims
     columns: SyndromeColumns
     entries: list[SyndromeEntry]
-    components: tuple[tuple[Point, ...], ...]
 
 
 def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
@@ -78,13 +76,13 @@ def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
         raise ValueError(f"tile does not map bijectively onto the group: {res}")
     periods = torus_periods(hom)
     columns = syndrome_columns(hom)
+    components = {cid: tile.component(cid).vertices for cid in tile.component_ids()}
     entries: list[Optional[SyndromeEntry]] = [None] * hom.group.order
     for v in tile.shape.vertices:
         cid, device = tile.labels[v]
         entries[syndrome_rank(columns, v)] = SyndromeEntry(
-            v, cid, device, torus_norm(map(sub, device, v), periods))
-    components = tuple(comp.vertices for comp in tile.components())
-    return SyndromeTable(periods, columns, entries, components)
+            v, components[cid], device, torus_norm(map(sub, device, v), periods))
+    return SyndromeTable(periods, columns, entries)
 
 
 def decode(table: SyndromeTable, x: Sequence[int],
@@ -101,12 +99,11 @@ def decode(table: SyndromeTable, x: Sequence[int],
     x = check_point(x)
     if len(x) != len(dims):
         raise ValueError(f"vertex has {len(x)} coordinates, expected {len(dims)}")
-    v, cid, device, distance = table.entries[syndrome_rank(table.columns, x)]
+    v, component, device, distance = table.entries[syndrome_rank(table.columns, x)]
     z = tuple(map(sub, x, v))
     # The anchor is the least vertex of the component *after* torus reduction
     # (reduction can reorder vertices, e.g. when a component straddles 0).
-    anchor = min(tuple(map(mod, map(add, u, z), dims))
-                 for u in table.components[cid])
+    anchor = min(tuple(map(mod, map(add, u, z), dims)) for u in component)
     if torus is not None:
         distance = torus_norm(map(sub, device, v), dims)
     return DecodeResult(tuple(map(mod, map(add, device, z), dims)), anchor, distance)

@@ -204,14 +204,17 @@ def test_all_tiles_map_bijectively():
 
 
 def test_tile_contains_origin_and_units():
-    for c in (plc_n1(2), pdds1_path(2, 2), pdds_t_path_2d(1, 1, "two_copy"),
-              pdds1_square(0), pdds1_q3(), minkowski_p2(),
-              nonlattice_p2_example()):
+    # every tile component is also an h box, up to axis order
+    for name, c in CATALOG:
         n = c.hom.dim
-        assert (0,) * n in c.tile.shape
+        assert (0,) * n in c.tile.shape, name
         for i in range(n):
             e = tuple(1 if j == i else 0 for j in range(n))
-            assert e in c.tile.shape, (type(c), e)
+            assert e in c.tile.shape, (name, e)
+        want = sorted(c.h_spec.extents)
+        for comp in c.tile.components():
+            spec = is_box(comp)
+            assert spec is not None and sorted(spec.extents) == want, (name, comp)
 
 
 def test_construction_json_round_trip():

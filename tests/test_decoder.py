@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdds.abelian import AbelianGroup, Homomorphism
 from pdds.constructions import (
+    Construction,
     Tile,
     nonlattice_p2_example,
     pdds1_path,
@@ -40,6 +41,22 @@ def test_table_size_and_build_validation():
                            ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValueError):
         build_syndrome_table(c.tile, bad_hom)
+
+
+@pytest.mark.parametrize("ids", [(0, 1, 2, 7), (0, -1, 2, 3)])
+def test_decode_reads_component_ids_as_ids_not_positions(ids):
+    # Loaded nonlattice files with these valid ids used to decode (3, 0)
+    # with an IndexError, and (1, 1) to the anchor (6, 0) instead of (0, 1).
+    original = nonlattice_p2_example()
+    blob = original.to_json()
+    for entry in blob["tile"]["labels"]:
+        entry["component"] = ids[entry["component"]]
+    renumbered = Construction.from_json(blob)
+    want = build_syndrome_table(original.tile, original.hom)
+    got = build_syndrome_table(renumbered.tile, renumbered.hom)
+    torus = itertools.product(*map(range, want.periods))
+    for x in [*original.tile.shape.vertices, *torus]:
+        assert decode(got, x) == decode(want, x), x
 
 
 def test_trivial_group_single_vertex_tile():

@@ -39,7 +39,8 @@ from pdds.verifier import (
     verify_partition,
     verify_pdds,
 )
-from test_acceptance import CATALOG, VERIFY_CAP, corrupt_tile, period_volume
+from test_acceptance import (CATALOG, VERIFY_CAP, corrupt_tile, period_instance,
+                             period_volume)
 
 SMALL_CATALOG = [
     plc_n1(2),
@@ -379,7 +380,7 @@ def test_is_lattice_like_matches_shift_search_on_catalog():
     for name, con in CATALOG:
         if period_volume(con) > 70_000:
             continue
-        inst = instantiate_on_torus(con)
+        inst = period_instance(name)
         got = is_lattice_like(inst)
         assert got == _is_lattice_like_by_shift_search(inst), name
         assert (len(_translation_classes(inst).keys) == 1) == got, name
