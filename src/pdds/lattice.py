@@ -137,11 +137,6 @@ def unflatten(flat: int, dims: Sequence[int]) -> Point:
     return tuple(out)
 
 
-def unit_vector(dim: int, axis: int) -> Point:
-    """The standard basis vector e_axis (0-indexed) in Z^dim."""
-    return tuple(1 if i == axis else 0 for i in range(dim))
-
-
 def lee_distance(u: Sequence[int], v: Sequence[int],
                  torus: Optional[TorusDims] = None) -> int:
     """Lee (l1) distance between two vertices.

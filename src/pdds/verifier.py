@@ -13,8 +13,12 @@ vertex:
 
 Verification expands each component's neighbourhood onto per-vertex
 arrays and reads the violations off them; the arrays are public as
-:func:`coverage`, the service map render draws.  The test suite keeps a
-brute-force scan over all (vertex, component) pairs as its oracle.
+:func:`coverage`, the service map render draws.  :func:`verify_partition`
+asks whether a tile's kernel-translates partition the torus; for a
+homomorphism onto its group that is the tile-to-group bijection, so it
+reads :func:`check_bijection` and walks no translate.  The test suite keeps
+a brute-force scan over all (vertex, component) pairs and a per-vertex
+kernel-translate walk as the oracles of these two claims.
 """
 
 from __future__ import annotations
@@ -395,25 +399,16 @@ def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True) -> VerificationR
 def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
     """Do the kernel-translates of the tile partition the instance's torus?
 
-    True exactly when every torus vertex lands in exactly one translate of
-    ``tile.shape`` by a kernel element.  This is the geometric face of the
-    tile-to-group bijection: it holds iff check_bijection reports ok.
+    For a homomorphism onto its group they do exactly when it maps
+    ``tile.shape`` bijectively onto the group (the tiling-homomorphism
+    correspondence), so once the torus is checked to be a period multiple
+    under ``MAX_VOLUME`` this is :func:`check_bijection`.  A homomorphism
+    not onto its group gets False, though a transversal of its image tiles
+    the torus: no tile of it serves a construction.  A tile vertex of
+    another dimension than the homomorphism's raises ValueError.
     """
-    dims = check_periods(torus_periods(hom), inst.torus)
-    _check_volume(dims)
-    volume = prod(dims)
-    tile_verts = tile.shape.vertices
-    if not tile_verts or volume % len(tile_verts):
-        return False
-    covered = bytearray(volume)
-    total = 0
-    for flats in shifted_flats(tile_verts, _kernel_elements(hom, dims), dims):
-        for flat in flats:
-            if covered[flat]:
-                return False
-            covered[flat] = 1
-        total += len(flats)
-    return total == volume
+    _check_volume(check_periods(torus_periods(hom), inst.torus))
+    return check_bijection(hom, tile.shape.vertices).ok
 
 
 def is_lattice_like(inst: PDDSInstance) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pdds.abelian import (Homomorphism, AbelianGroup, check_bijection, phi_eval,
-                          torus_periods)
+                          syndrome_columns, syndrome_ranks, torus_periods)
 from pdds.constructions import (
     Construction,
     Tile,
@@ -39,8 +39,8 @@ from pdds.verifier import (
     verify_partition,
     verify_pdds,
 )
-from test_acceptance import (CATALOG, VERIFY_CAP, corrupt_tile, period_instance,
-                             period_volume)
+from test_acceptance import (CATALOG, VERIFY_CAP, corrupt_tile, partition_by_vertex,
+                             period_instance, period_volume)
 
 SMALL_CATALOG = [
     plc_n1(2),
@@ -337,7 +337,8 @@ def test_partition_bijection_equivalence_random_moves():
         labels = {u: c.tile.labels.get(u, (0, next(iter(shape)))) for u in shape}
         moved = Tile(shape, labels)
         assert (verify_partition(inst, moved, c.hom)
-                == check_bijection(c.hom, shape.vertices).ok)
+                == check_bijection(c.hom, shape.vertices).ok
+                == partition_by_vertex(inst, moved, c.hom))
 
 
 def test_is_lattice_like_on_catalog():
@@ -915,27 +916,6 @@ def test_instantiate_matches_frozenset_reference():
             assert inst.components == _instantiate_by_frozenset(con, dims), (name, m)
 
 
-def _partition_by_vertex(inst, tile, hom):
-    """Reference: each kernel translate's flat indices one vertex at a time."""
-    dims = inst.torus
-    tile_verts = tile.shape.vertices
-    if not tile_verts or inst.volume % len(tile_verts):
-        return False
-    row_strides = strides(dims)
-    covered = bytearray(inst.volume)
-    total = 0
-    for z in _kernel_elements(hom, dims):
-        for v in tile_verts:
-            flat = 0
-            for a, b, dim, s in zip(v, z, dims, row_strides):
-                flat += ((a + b) % dim) * s
-            if covered[flat]:
-                return False
-            covered[flat] = 1
-            total += 1
-    return total == inst.volume
-
-
 def test_verify_partition_matches_per_vertex_reference():
     rng = random.Random(6006)
     verdicts = set()
@@ -945,9 +925,68 @@ def test_verify_partition_matches_per_vertex_reference():
         short = Tile(Shape.of(verts, dim=inst.dim), {v: con.tile.labels[v] for v in verts})
         for tile in (con.tile, short, *(corrupt_tile(con.tile, rng) for _ in range(3))):
             got = verify_partition(inst, tile, con.hom)
-            assert got == _partition_by_vertex(inst, tile, con.hom), name
+            assert got == partition_by_vertex(inst, tile, con.hom), name
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _bare_tile(verts):
+    """A tile on verts, all labelled with one component: the partition
+    checks read only the vertices."""
+    shape = Shape.of(verts)
+    return Tile(shape, {v: (0, shape.vertices[0]) for v in shape})
+
+
+@pytest.mark.parametrize("name, extra", [("q3", (0,)), ("q3", (5,)), ("q3", (0, 0)),
+                                         ("plc1(n=2, Z5)", (0,))])
+def test_verify_partition_rejects_tile_of_other_dimension(name, extra):
+    # Every vertex gets extra coordinates; the partition check used to
+    # ignore them and answer True on the period torus.
+    con = dict(CATALOG)[name]
+    inst = period_instance(name)
+    lifted = _bare_tile(v + extra for v in con.tile.shape.vertices)
+    with pytest.raises(ValueError, match=f"vertex dim {inst.dim + len(extra)} != "
+                                         f"homomorphism dim {inst.dim}"):
+        verify_partition(inst, lifted, con.hom)
+    with pytest.raises(ValueError):
+        partition_by_vertex(inst, lifted, con.hom)
+
+
+@st.composite
+def partition_cases(draw):
+    """A :func:`kernel_cases` homomorphism and torus, a tile of one torus
+    vertex per syndrome the torus reaches, with one vertex moved by
+    ``corrupt_tile`` in about half the cases, and whether the homomorphism
+    is onto its group."""
+    hom, dims = draw(kernel_cases())
+    by_rank: dict[int, list] = {}
+    vertices = itertools.product(*map(range, dims))
+    for v, r in zip(vertices, syndrome_ranks(syndrome_columns(hom), dims)):
+        by_rank.setdefault(r, []).append(v)
+    tile = _bare_tile(draw(st.sampled_from(vs)) for _, vs in sorted(by_rank.items()))
+    if draw(st.booleans()):
+        tile = corrupt_tile(tile, draw(st.randoms(use_true_random=False)))
+    return hom, dims, tile, len(by_rank) == hom.group.order
+
+
+_Z5 = Homomorphism(AbelianGroup((5,)), ((1,), (2,)))
+_Z6_EVEN = Homomorphism(AbelianGroup((6,)), ((2,),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_cases())
+@example((_Z5, (5, 5), _bare_tile([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]), True))
+@example((_Z5, (5, 5), _bare_tile([(0, 0), (2, 0), (0, 1), (1, 1), (2, 2)]), True))
+@example((_Z6_EVEN, (6,), _bare_tile([(0,), (1,), (2,)]), False))   # not onto
+def test_verify_partition_walk_and_bijection_agree_on_random_codes(case):
+    # The translates of a transversal of a smaller image still partition
+    # the torus, but no tile maps onto the group: verify_partition and
+    # check_bijection answer the bijection, so both say False there.
+    hom, dims, tile, onto = case
+    inst = PDDSInstance(dims, 0, BoxSpec((1,) * len(dims)), [])
+    got = verify_partition(inst, tile, hom)
+    assert got == check_bijection(hom, tile.shape.vertices).ok
+    assert got == (onto and partition_by_vertex(inst, tile, hom))
 
 
 def test_wrong_dimension_component_raises_on_both_paths():
