@@ -21,7 +21,7 @@ order, both in invariant-factor canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, count, product
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -244,17 +244,20 @@ def check_bijection(hom: Homomorphism, vertices: Sequence[Point]) -> BijectionRe
     'collision'
     """
     columns = syndrome_columns(hom)
-    seen: list[Optional[Point]] = [None] * hom.group.order
+    # Ranks met so far, so memory follows the vertices, not the group order
+    # a file may give; the least rank missing is at most their number.
+    seen: dict[int, Point] = {}
     for v in sorted(tuple(p) for p in vertices):
         if len(v) != hom.dim:
             raise ValueError(f"vertex dim {len(v)} != homomorphism dim {hom.dim}")
         r = syndrome_rank(columns, v)
-        if seen[r] is not None:
+        if r in seen:
             return BijectionResult("collision", collision=(seen[r], v))
         seen[r] = v
-    if None in seen:
+    if len(seen) < hom.group.order:
+        missing = next(r for r in count() if r not in seen)
         return BijectionResult("not_surjective",
-                               missing=hom.group.element_from_rank(seen.index(None)))
+                               missing=hom.group.element_from_rank(missing))
     return BijectionResult("ok")
 
 

@@ -119,7 +119,11 @@ class Construction:
             raise ValueError(f"box spec h has {h_spec.dim} axes, tile has {tile.shape.dim}")
         t = check_radius(obj.get("t"))
         _check_labels(tile, t)
-        return cls(t=t, h_spec=h_spec, tile=tile, hom=Homomorphism.from_json(obj["hom"]))
+        hom = Homomorphism.from_json(obj["hom"])
+        if hom.group.order != len(tile.shape):
+            raise ValueError(f"group of order {hom.group.order} cannot be a bijective "
+                             f"image of a tile of {len(tile.shape)} vertices")
+        return cls(t=t, h_spec=h_spec, tile=tile, hom=hom)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)

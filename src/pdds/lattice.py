@@ -10,6 +10,12 @@ Vertex sets are kept in a single canonical form throughout: dimension plus a
 lexicographically sorted, duplicate-free vertex tuple.  All functions that
 return sets of vertices return them in this form, so equality of shapes is
 plain equality of the dataclass.
+
+A torus vertex also has a row-major flat index (:func:`strides`).
+:func:`shifted_flats` gives the flat indices of a vertex list shifted to
+many anchors, one column over all anchors per vertex (cell-major), built
+from the per-axis columns of :func:`axis_columns` without a Python step
+per anchor.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
+from itertools import repeat
 from math import prod
-from operator import add, mod, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import add, itemgetter, mod, sub
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Point = tuple[int, ...]
 TorusDims = tuple[int, ...]
@@ -44,6 +51,13 @@ def check_torus(dim: int, torus: Optional[TorusDims]) -> Optional[TorusDims]:
     if not all(is_int(d) and d >= 1 for d in dims):
         raise ValueError(f"torus dimensions must be positive integers, got {dims}")
     return dims
+
+
+def check_volume(dims: Sequence[int]) -> None:
+    """ValueError for a torus above MAX_VOLUME, before anything is allocated."""
+    if prod(dims) > MAX_VOLUME:
+        raise ValueError(f"torus {tuple(dims)} has {prod(dims)} vertices, more than "
+                         f"the verifier's limit of {MAX_VOLUME}")
 
 
 def is_int(x: object) -> bool:
@@ -86,43 +100,69 @@ def strides(dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def shifted_flats(verts: Sequence[Sequence[int]], anchors: Iterable[Sequence[int]],
-                  dims: Sequence[int]) -> Iterator[list[int]]:
-    """Per anchor a, the flat indices of ``(v + a) mod dims`` for v in verts.
+def axis_columns(anchors: Iterable[Sequence[int]], dims: Sequence[int],
+                 scales: Sequence[int]) -> list[Callable[[int], Sequence[int]]]:
+    """Per axis i, the map c -> ``[(c + a_i) mod d_i * scale_i for a in anchors]``.
 
-    Each list follows the order of verts.  Coordinates need not be reduced.
-    Each axis contributes a column (shifted coordinate times stride), built
-    once per distinct anchor coordinate and summed with ``map(add)``, so no
-    vertex tuple is built.  The sum over all axes but the last is kept
-    while consecutive anchors agree on them, so anchors in lexicographic
-    order cost about one sum each.  The lists may be shared between
-    anchors: read them, do not modify them.
+    Each axis reads one table of the 2 d_i values ``x mod d_i * scale_i``.
+    With many anchors a column is an ``itemgetter`` of the anchors'
+    residues over the table slice that starts at ``c mod d_i``: one slice
+    of length d_i, then no Python step per anchor.  With at most d_i / 32
+    anchors, where the slice was measured to cost more than it saves, the
+    residues index the table directly.  Anchor coordinates need not be
+    reduced.
 
-    >>> list(shifted_flats([(0, 0), (0, 1)], [(0, 1), (2, 2)], (3, 3)))
-    [[1, 2], [8, 6]]
+    >>> [list(f(1)) for f in axis_columns([(0, 2), (2, 1), (5, 0)], (3, 3), (3, 1))]
+    [[3, 0, 0], [0, 2, 1]]
     """
-    row_strides = strides(dims)
-    columns: list[dict[int, list[int]]] = [{} for _ in dims]
+    anchors = list(anchors)
+    return [_axis_column(list(map(itemgetter(i), anchors)), d, s)
+            for i, (d, s) in enumerate(zip(dims, scales))]
 
-    def column(i: int, c: int) -> list[int]:
-        col = columns[i].get(c)
-        if col is None:
-            d, s = dims[i], row_strides[i]
-            col = columns[i][c] = [(v[i] + c) % d * s for v in verts]
-        return col
 
-    last = len(dims) - 1
-    head = lead = None
-    for a in anchors:
-        if a[:-1] != head:
-            head, lead = a[:-1], None
-            for i, c in enumerate(head):
-                col = column(i, c)
-                lead = col if lead is None else list(map(add, lead, col))
-        col = columns[last].get(a[-1])
-        if col is None:
-            col = column(last, a[-1])
-        yield col if lead is None else list(map(add, lead, col))
+def _axis_column(coords: Sequence[int], d: int, s: int) -> Callable[[int], Sequence[int]]:
+    """One axis of :func:`axis_columns`."""
+    table = [x % d * s for x in range(2 * d)]
+    residues = [a % d for a in coords]
+    if len(residues) <= max(1, d // 32):
+        return lambda c: [table[c % d + r] for r in residues]
+    pick = itemgetter(*residues)
+    return lambda c: pick(table[c % d:c % d + d])
+
+
+def shifted_flats(verts: Iterable[Sequence[int]], anchors: Iterable[Sequence[int]],
+                  dims: Sequence[int]) -> Iterator[Sequence[int]]:
+    """Per vertex v, the flat indices of ``(v + a) mod dims`` over the anchors a.
+
+    One column per vertex, in verts order; each column follows the order
+    of the anchors.  Coordinates need not be reduced.  This is cell-major
+    order: a column is built over all anchors at once from the per-axis
+    columns of :func:`axis_columns`, summed with ``map(add)``.  An axis's
+    column is built once per coordinate value (it holds one reference
+    into the axis's table per anchor).  The sum over the leading axes is
+    kept while consecutive vertices agree on them, so at most one partial
+    column per axis is alive and vertices in lexicographic order cost
+    about one sum each.  Columns may be shared between vertices: read
+    them, do not modify them.
+
+    >>> [list(col) for col in shifted_flats([(0, 0), (0, 1)], [(0, 1), (2, 2)], (3, 3))]
+    [[1, 8], [2, 6]]
+    """
+    columns = axis_columns(anchors, dims, strides(dims))
+    cache: list[dict[int, Sequence[int]]] = [{} for _ in dims]
+    partial: list[Sequence[int]] = [()] * len(dims)
+    prev: Sequence[int] = ()
+    for v in verts:
+        i = 0
+        while i < len(prev) and v[i] == prev[i]:
+            i += 1
+        for i in range(i, len(dims)):
+            col = cache[i].get(v[i])
+            if col is None:
+                col = cache[i][v[i]] = columns[i](v[i])
+            partial[i] = list(map(add, partial[i - 1], col)) if i else col
+        prev = v
+        yield partial[-1]
 
 
 def unflatten(flat: int, dims: Sequence[int]) -> Point:
@@ -331,11 +371,11 @@ def is_box(shape: Shape, torus: Optional[TorusDims] = None) -> Optional[BoxSpec]
     """Extents of the shape if it is exactly an axis-aligned box, else None.
 
     On each axis the coordinates, reduced mod the torus if one is given,
-    must form one interval: exactly one coordinate c has c - 1 absent (mod
-    d on a torus axis of length d > 1, so an interval may wrap the seam,
-    and gaps and full rings are rejected).  The shape then equals the box
-    of those intervals exactly when its size is the box's volume (two
-    vertices equal mod the torus make it too large).
+    must form one interval (:func:`box_runs`; on a torus axis of length
+    d > 1 an interval may wrap the seam, and full rings are rejected).
+    The shape then equals the box of those intervals exactly when its size
+    is the box's volume (two vertices equal mod the torus make it too
+    large).
 
     >>> is_box(Shape.of([(3, 1), (4, 1)]))
     BoxSpec(extents=(2, 1))
@@ -345,14 +385,41 @@ def is_box(shape: Shape, torus: Optional[TorusDims] = None) -> Optional[BoxSpec]
     BoxSpec(extents=(2, 1))
     """
     dims = check_torus(shape.dim, torus)
-    if not shape.vertices:
+    runs = box_runs(shape.vertices, dims)
+    if runs is None:
         return None
-    extents = []
-    for i in range(shape.dim):
+    extents = runs[1]
+    if dims is not None and any(e == d > 1 for e, d in zip(extents, dims)):
+        return None
+    return BoxSpec(extents) if prod(extents) == len(shape) else None
+
+
+def box_runs(verts: Sequence[Sequence[int]], dims: Optional[TorusDims]
+             ) -> Optional[tuple[Point, tuple[int, ...]]]:
+    """``(corner, extents)`` when every axis's coordinates form one run.
+
+    Per axis, the coordinates of verts (reduced mod dims if given) must
+    have exactly one start, a c with c - 1 absent (mod d on a torus), and
+    the run has that start and the number of coordinates as its size; on
+    a torus a whole axis has no start and counts as a run from 0.  None
+    when an axis has a gap or verts is empty.  The box of these runs
+    holds verts; whether verts fill it is the caller's count.
+
+    >>> box_runs([(4, 1), (0, 1)], (5, 3))
+    ((4, 1), (2, 1))
+    """
+    if not verts:
+        return None
+    corner, extents = [], []
+    for i in range(len(verts[0])):
+        coords = map(itemgetter(i), verts)
+        if dims is not None:
+            coords = map(mod, coords, repeat(dims[i]))
+        present = set(coords)
         d = None if dims is None else dims[i]
-        coords = {v[i] if d is None else v[i] % d for v in shape.vertices}
-        starts = sum((c - 1 if d is None else (c - 1) % d) not in coords for c in coords)
-        if starts != 1 and d != 1:
+        starts = [c for c in present if (c - 1 if d is None else (c - 1) % d) not in present]
+        if len(starts) > 1:
             return None
-        extents.append(len(coords))
-    return BoxSpec(tuple(extents)) if prod(extents) == len(shape) else None
+        corner.append(starts[0] if starts else 0)
+        extents.append(len(present))
+    return tuple(corner), tuple(extents)

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 from .abelian import syndrome_columns, syndrome_ranks
 from .constructions import Construction
-from .lattice import TorusDims, shifted_flats
+from .lattice import TorusDims, check_volume, shifted_flats
 from .verifier import (PDDSInstance, coverage, flats_not_one,
                        instantiate_on_torus)
 
@@ -65,14 +65,15 @@ def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
         if torus is not None and tuple(torus) != inst.torus:
             raise ValueError("an instance carries its own torus; drop the override")
     dims = inst.torus
+    check_volume(dims)          # before the per-vertex lists below
     if any(comp.dim != len(dims) for comp in inst.components):
         raise ValueError("component dimension differs from torus dimension")
 
     # Every component vertex's flat index, in component order, and its
     # component; a later component overwrites an earlier one's fill.
     member_ids = [ci for ci, comp in enumerate(inst.components) for _ in comp.vertices]
-    members = next(shifted_flats([v for comp in inst.components for v in comp.vertices],
-                                 [(0,) * len(dims)], dims))
+    members = next(shifted_flats([(0,) * len(dims)],
+                                 [v for comp in inst.components for v in comp.vertices], dims))
     fills: list[Optional[int]] = [None] * inst.volume
     for f, ci in zip(members, member_ids):
         fills[f] = ci

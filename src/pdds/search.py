@@ -140,10 +140,11 @@ def _placements(problem: SearchProblem,
     for exts, cells in allowed.items():
         box = box_shape(BoxSpec(exts))
         k = len(cells)
-        # Cells and box are shifted together, one list per anchor, then split.
+        # Cells and box are shifted together over all anchors, one column
+        # per vertex; zipped, one tuple per anchor, then split.
         anchors = _cartesian(*(range(d) for d in dims))
         found.update((tuple(sorted(flats[:k])), tuple(sorted(flats[k:])))
-                     for flats in shifted_flats(cells + box.vertices, anchors, dims))
+                     for flats in zip(*shifted_flats(cells + box.vertices, anchors, dims)))
     return [Placement(*p) for p in sorted(found)]
 
 

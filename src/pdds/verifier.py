@@ -11,8 +11,13 @@ vertex:
   * within that component it has a unique nearest vertex (its device), and
   * every component is an axis-aligned box (a translate of one on the torus).
 
-Verification expands each component's neighbourhood onto per-vertex
-arrays and reads the violations off them; the arrays are public as
+Both work cell-major over the copies of one vertex set: instantiation
+builds each tile vertex's copies over the whole kernel as coordinate
+columns, and verification shifts each cell of a translation class's local
+map to all of the class's members at once.  Verification first decides
+exact cover in one pass over a byte per torus vertex; only when that
+fails does it expand each component's neighbourhood onto per-vertex arrays
+and read the violations off them.  The arrays are public as
 :func:`coverage`, the service map render draws.  :func:`verify_partition`
 asks whether a tile's kernel-translates partition the torus; for a
 homomorphism onto its group that is the tile-to-group bijection, so it
@@ -25,18 +30,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
 from itertools import product as _cartesian
 from math import prod
-from operator import add, mod, sub
+from operator import add, itemgetter, mod, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .abelian import (Homomorphism, check_bijection, check_periods,
                       syndrome_columns, syndrome_rank, syndrome_ranks,
                       torus_periods)
 from .constructions import Construction, Tile
-from .lattice import (MAX_VOLUME, BoxSpec, Point, Shape, check_radius,
-                      check_torus, is_box, lee_distance, nearest_within,
-                      shifted_flats, unflatten)
+from .lattice import (BoxSpec, Point, Shape, axis_columns, box_runs,
+                      check_radius, check_torus, check_volume, is_box,
+                      lee_distance, nearest_within, shifted_flats, unflatten)
 
 
 @dataclass
@@ -106,13 +112,6 @@ class VerificationReport:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _check_volume(dims: Sequence[int]) -> None:
-    """ValueError for a torus above MAX_VOLUME, before anything is allocated."""
-    if prod(dims) > MAX_VOLUME:
-        raise ValueError(f"torus {tuple(dims)} has {prod(dims)} vertices, more than "
-                         f"the verifier's limit of {MAX_VOLUME}")
-
-
 # --------------------------------------------------------------------------
 # Syndrome iteration over a torus.
 # --------------------------------------------------------------------------
@@ -160,7 +159,7 @@ def instantiate_on_torus(construction: Construction,
     hom = construction.hom
     periods = torus_periods(hom)
     dims = periods if torus is None else check_periods(periods, torus)
-    _check_volume(dims)
+    check_volume(dims)
 
     # A tile that no longer maps bijectively cannot tile anything.
     res = check_bijection(hom, construction.tile.shape.vertices)
@@ -168,12 +167,16 @@ def instantiate_on_torus(construction: Construction,
         raise ValueError("construction corrupt: tile does not map bijectively "
                          f"onto the group: {res}")
 
-    kernel = list(_kernel_elements(hom, dims))
-    placed = sorted(tuple(sorted(tuple(map(mod, map(add, v, k), dims))
-                                 for v in comp.vertices))
-                    for comp in construction.tile.components() for k in kernel)
+    # Cell-major: each tile vertex's copies over the whole kernel as one
+    # coordinate column per axis, zipped into vertices, then into copies.
+    columns = axis_columns(_kernel_elements(hom, dims), dims, (1,) * len(dims))
+    placed = []
+    for comp in construction.tile.components():
+        copies = [zip(*[col(c) for col, c in zip(columns, v)]) for v in comp.vertices]
+        placed.extend(map(tuple, map(sorted, zip(*copies))))
+    placed.sort()
     return PDDSInstance(dims, construction.t, construction.h_spec,
-                        [Shape(len(dims), verts) for verts in placed])
+                        list(map(Shape, repeat(len(dims)), placed)))
 
 
 # --------------------------------------------------------------------------
@@ -227,25 +230,34 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
     a torus above ``MAX_VOLUME``: every verify path starts here.
     """
     dims = inst.torus
-    if any(comp.dim != inst.dim for comp in inst.components):
+    dim = len(dims)
+    if any(comp.dim != dim for comp in inst.components):
         raise ValueError("component dimension differs from torus dimension")
-    _check_volume(dims)
-    # Offsets from the first vertex w, in vertex order, -> (class, u) with
-    # anchor w + u: a translate that wraps like one met before needs no sort.
-    seen: dict[tuple[Point, ...], tuple[int, Point]] = {}
+    check_volume(dims)
+    # Raw offsets from the first vertex w, flattened and unreduced, ->
+    # (class, u) with anchor w + u (None for an anchor w): a translate that
+    # wraps like one met before builds no tuple per vertex, and only a new
+    # wrap pattern reduces its offsets and takes them to _canonical.
+    seen: dict[tuple[int, ...], tuple[int, Optional[Point]]] = {}
     classes: dict[tuple[Point, ...], int] = {}
     anchors: list[list[Point]] = []
     class_of = []
     for comp in inst.components:
-        w = comp.vertices[0] if comp.vertices else (0,) * len(dims)
-        key = tuple(tuple(map(mod, map(sub, v, w), dims)) for v in comp.vertices)
-        if key not in seen:
-            canon, u = _canonical(key, dims)
-            seen[key] = (classes.setdefault(canon, len(classes)), u)
+        verts = comp.vertices
+        w = verts[0] if verts else (0,) * dim
+        raw = tuple(map(sub, chain.from_iterable(verts), cycle(w)))
+        hit = seen.get(raw)
+        if hit is None:
+            offsets = tuple(zip(*[map(mod, map(sub, map(itemgetter(i), verts),
+                                              repeat(w[i])), repeat(d))
+                                  for i, d in enumerate(dims)]))
+            canon, u = _canonical(offsets, dims)
+            hit = seen[raw] = (classes.setdefault(canon, len(classes)),
+                               u if any(u) else None)
             if len(classes) > len(anchors):
                 anchors.append([])
-        k, u = seen[key]
-        anchors[k].append(tuple(map(mod, map(add, w, u), dims)) if any(u) else w)
+        k, u = hit
+        anchors[k].append(w if u is None else tuple(map(mod, map(add, w, u), dims)))
         class_of.append(k)
     return _Classes(list(classes), anchors, class_of)
 
@@ -256,9 +268,17 @@ def _canonical(offsets: tuple[Point, ...], dims: Sequence[int]
     the torus, the same for every translate of the set.  u starts a run on
     each axis (its predecessor there is absent; on an axis along which the
     set is invariant, it has coordinate 0) or, if no vertex does, is any
-    vertex; ``canon`` is the least over these.  A box has one such u.
+    vertex; ``canon`` is the least over these.
+
+    A box (each coordinate projection one interval or the whole axis, and
+    as many distinct vertices as the product of their sizes) has one such
+    u, read off the projections' run starts; its canon is then the box at
+    the origin.  Any other shape takes the scan over all vertices.
     """
     pts = set(offsets)
+    runs = box_runs(offsets, dims)
+    if runs is not None and len(pts) == len(offsets) == prod(runs[1]):
+        return tuple(_cartesian(*map(range, runs[1]))), runs[0]
     cands = pts
     for i, d in enumerate(dims):
         def has_pred(p):
@@ -287,38 +307,66 @@ def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
 def _coverage(inst: PDDSInstance, classes: _Classes):
     """:func:`coverage` from the instance's translation classes.
 
-    Members of a class are translates: one local map, shifted to each
-    member's anchor, serves the whole class.
+    Members of a class are translates: one local map, shifted to all
+    members' anchors at once, serves the whole class.  Classes are written
+    in turn, so a cell's owner is the least component id reaching it and
+    its ``multi`` list is sorted at the end: the arrays a plain
+    per-component loop in component order would give.
     """
     dims = inst.torus
     volume = inst.volume
-    shifts = []
-    for key, anchors in zip(classes.keys, classes.anchors):
-        local = nearest_within(key, inst.t, dims)
-        counts = [min(cnt, 255) for _, cnt, _ in local.values()]
-        shifts.append((shifted_flats(list(local), anchors, dims), counts))
+    members: list[list[int]] = [[] for _ in classes.keys]
+    for cid, k in enumerate(classes.class_of):
+        members[k].append(cid)
 
     cover = bytearray(volume)          # 0, 1, or 2 components saturating
     comp_of = [-1] * volume
     count_of = bytearray(volume)       # minimizer count within the covering component
     multi: dict[int, list[int]] = {}   # flat -> list of covering component ids
-
-    # Components are written in order (each class's generator advanced in
-    # turn), so the first component to reach a cell owns it, as in a plain
-    # per-component loop.
-    for cid, k in enumerate(classes.class_of):
-        flats, counts = shifts[k]
-        for flat, cnt in zip(next(flats), counts):
-            if cover[flat] == 0:
-                cover[flat] = 1
-                comp_of[flat] = cid
-                count_of[flat] = cnt
-            else:
+    for key, anchors, ids in zip(classes.keys, classes.anchors, members):
+        local = nearest_within(key, inst.t, dims)
+        for flats, (_, cnt, _) in zip(shifted_flats(list(local), anchors, dims),
+                                      local.values()):
+            cnt = min(cnt, 255)
+            for flat, cid in zip(flats, ids):
+                if cover[flat] == 0:
+                    cover[flat] = 1
+                    comp_of[flat] = cid
+                    count_of[flat] = cnt
+                    continue
                 if cover[flat] == 1:
                     multi[flat] = [comp_of[flat]]
                     cover[flat] = 2
                 multi[flat].append(cid)
+                if cid < comp_of[flat]:
+                    comp_of[flat] = cid
+                    count_of[flat] = cnt
+    for ids in multi.values():
+        ids.sort()
     return cover, comp_of, count_of, multi
+
+
+def _exact_cover(inst: PDDSInstance, classes: _Classes) -> bool:
+    """Is every torus vertex within t of exactly one component, with one
+    nearest vertex in it?  The pass of :func:`verify_pdds`.
+
+    Every local map must count one nearest vertex per cell, and its
+    columns, written once per class into a byte per torus vertex, must
+    mark every vertex with exactly as many writes as there are vertices.
+    """
+    dims = inst.torus
+    volume = inst.volume
+    hit = bytearray(volume)
+    writes = 0
+    for key, anchors in zip(classes.keys, classes.anchors):
+        local = nearest_within(key, inst.t, dims)
+        writes += len(local) * len(anchors)
+        if writes > volume or any(cnt != 1 for _, cnt, _ in local.values()):
+            return False
+        for flats in shifted_flats(sorted(local), anchors, dims):
+            for flat in flats:
+                hit[flat] = 1
+    return writes == volume and hit.count(1) == volume
 
 
 # bytes.translate table: 1 -> 0, every other byte -> 1.
@@ -382,14 +430,15 @@ def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True) -> VerificationR
     ``strict_box``, the default) component_not_box for components that do
     not induce an axis-aligned box.  The report passes exactly when no
     violations are found.  The components are grouped into translation
-    classes once; the expansion and the box check both read that grouping.
+    classes once; the exact-cover pass, the expansion (run only when that
+    pass fails) and the box check all read that grouping.
     Raises ValueError for a torus of more than ``MAX_VOLUME`` vertices.
     """
     check_radius(inst.t)
     if not all(comp.vertices for comp in inst.components):
         raise ValueError("empty component")
     classes = _translation_classes(inst)
-    violations = _verify_by_expansion(inst, classes)
+    violations = [] if _exact_cover(inst, classes) else _verify_by_expansion(inst, classes)
     if strict_box:
         violations.extend(_box_violations(inst, classes.class_of))
     violations.sort(key=lambda v: (v.vertex, v.kind))
@@ -407,7 +456,7 @@ def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
     the torus: no tile of it serves a construction.  A tile vertex of
     another dimension than the homomorphism's raises ValueError.
     """
-    _check_volume(check_periods(torus_periods(hom), inst.torus))
+    check_volume(check_periods(torus_periods(hom), inst.torus))
     return check_bijection(hom, tile.shape.vertices).ok
 
 

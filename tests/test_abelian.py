@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from pdds.abelian import (
     syndrome_ranks,
     torus_periods,
 )
+from pdds.constructions import pdds1_q3
 
 
 def test_group_arithmetic_exhaustive_z2xz4():
@@ -213,6 +215,24 @@ def test_check_bijection_matches_phi_eval_reference(case):
     wrong = verts + [(-10**6,) * (hom.dim + 1)]
     with pytest.raises(ValueError, match="vertex dim"):
         check_bijection(hom, wrong)
+
+
+def test_check_bijection_memory_follows_the_vertices():
+    # q3's tile against its group with one modulus raised to 2**24: a list
+    # per group element used to take about 1 GB to say not_surjective.
+    con = pdds1_q3()
+    hom = Homomorphism(AbelianGroup((2**24,) + con.hom.group.moduli[1:]),
+                       con.hom.generators)
+    verts = list(con.tile.shape.vertices)
+    tracemalloc.start()
+    try:
+        res = check_bijection(hom, verts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert res.status == "not_surjective"
+    assert res == reference_bijection(hom, verts)
 
 
 def test_torus_periods():

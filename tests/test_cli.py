@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -357,6 +358,41 @@ def test_verify_rejects_oversized_torus_without_traceback(capsys, tmp_path):
     code, out, err = invoke(capsys, "verify", str(path))
     assert code == 1 and out == ""
     assert err.startswith("pdds verify:") and "limit" in err
+
+
+def _traced(call):
+    """call() and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_of_a_huge_group_order_exits_one_and_stays_small(capsys, tmp_path):
+    # q3 with one modulus of 2**24 took about 1 GB to answer not_surjective
+    blob = pdds1_q3().to_json()
+    blob["hom"]["moduli"][0] = 2**24
+    path = tmp_path / "q3.json"
+    path.write_text(json.dumps(blob))
+    (code, out, err), peak = _traced(
+        lambda: invoke(capsys, "decode", str(path), "--vertex", "0,0,0"))
+    assert code == 1 and out == ""
+    assert err.startswith("pdds decode:") and "group of order" in err
+    assert peak < 4 * 2**20
+
+
+def test_render_of_an_instance_over_the_volume_cap_exits_one(capsys, tmp_path):
+    # (5, 5_000_000) used to draw in 6.5 s at 2.2 GB
+    blob = {"torus": [5, 5_000_000], "t": 0, "h": {"extents": [1, 1]},
+            "components": [[[0, 0]]]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(blob))
+    (code, out, err), peak = _traced(
+        lambda: invoke(capsys, "render", str(path), "--labels", "component_ids"))
+    assert code == 1 and out == ""
+    assert err.startswith("pdds render:") and "limit" in err
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("command", ["verify", "decode"])

@@ -242,9 +242,15 @@ def shift_cases(draw):
 @example(((3, 4), [], [(0, 0), (-1, 9)]))            # no vertices
 @example(((3, 4), [(1, 2), (-4, 7)], []))            # no anchors
 @example(((2, 5), [(1, 1)], [(-7, 6), (-7, 6)]))     # one anchor twice
+@example(((4, 5), [(x, y) for x in range(-4, 6) for y in (0, 3, -9)],
+          [(2, -1)]))                                # one anchor, many vertices
+@example(((3, 4), [(-2, 5)],
+          [(x, y) for x in range(-3, 4) for y in range(-2, 6)]))   # many anchors, one vertex
+@example(((200, 3), [(-201, 2), (199, -3), (0, 0), (400, 1)],
+          [(-1, 4), (377, -5), (3, 3)]))             # too few anchors for a slice
 def test_shifted_flats_matches_per_vertex_sum(case):
     dims, verts, anchors = case
     row_strides = strides(dims)
     want = [[sum((vi + ai) % d * s for vi, ai, d, s in zip(v, a, dims, row_strides))
-             for v in verts] for a in anchors]
-    assert list(shifted_flats(verts, anchors, dims)) == want
+             for a in anchors] for v in verts]
+    assert [list(col) for col in shifted_flats(verts, anchors, dims)] == want

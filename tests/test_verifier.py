@@ -23,10 +23,9 @@ from pdds.constructions import (
     pdds_t_path_2d,
     plc_n1,
 )
-from pdds.lattice import (BoxSpec, Shape, _offset_ball, box_shape, check_radius,
-                          is_box, lee_distance, strides, translate)
+from pdds.lattice import (MAX_VOLUME, BoxSpec, Shape, _offset_ball, box_shape,
+                          check_radius, is_box, lee_distance, strides, translate)
 from pdds.verifier import (
-    MAX_VOLUME,
     PDDSInstance,
     VerificationReport,
     Violation,
@@ -688,10 +687,31 @@ def small_instances(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(small_instances())
+# Four writes on a torus of four, but (1,) is covered twice and (3,) never:
+# the count of covered cells must still fail it.
+@example(PDDSInstance((4,), 0, BoxSpec((2,)),
+                      [Shape.of([(0,), (1,)]), Shape.of([(1,), (2,)])]))
+# Covered once everywhere; (2,) is one step from both vertices of the box,
+# so only its nearest-vertex count fails.
+@example(PDDSInstance((3,), 1, BoxSpec((2,)), [Shape.of([(0,), (1,)])]))
 def test_scan_equals_expansion_on_random_instances(inst):
     by_scan = _verify_by_scan(inst)
     by_exp = verify_pdds(inst)
     assert by_scan.to_json() == by_exp.to_json()
+
+
+def test_one_vertex_with_a_half_torus_radius_stays_small():
+    # Every one of the 1024 cells shifts the one anchor: a table per
+    # (axis, coordinate) would hold about 40 MB.
+    inst = PDDSInstance((1024,), 512, BoxSpec((1,)), [Shape.of([(0,)])])
+    tracemalloc.start()
+    try:
+        passed = verify_pdds(inst).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=100, deadline=None)
