@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, count, product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mod, mul
 from typing import Iterator, Optional, Sequence
 
 from .lattice import Point, TorusDims, check_torus, is_int
@@ -70,9 +70,6 @@ class AbelianGroup:
 
     def neg(self, a: GroupElement) -> GroupElement:
         return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def scale(self, c: int, a: GroupElement) -> GroupElement:
-        return tuple((c * x) % m for x, m in zip(a, self.moduli))
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in lexicographic residue order."""
@@ -145,18 +142,6 @@ class Homomorphism:
                    tuple(tuple(g) for g in obj["generators"]))
 
 
-def phi_eval(hom: Homomorphism, p: Sequence[int]) -> GroupElement:
-    """Image of a grid vertex: the residue-weighted sum of the generators."""
-    if len(p) != hom.dim:
-        raise ValueError(f"vertex dim {len(p)} != homomorphism dim {hom.dim}")
-    g = hom.group
-    acc = g.identity()
-    for c, gen in zip(p, hom.generators):
-        if c:
-            acc = g.add(acc, g.scale(c, gen))
-    return acc
-
-
 SyndromeColumns = tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -172,7 +157,8 @@ def syndrome_columns(hom: Homomorphism) -> SyndromeColumns:
 
 
 def syndrome_rank(columns: SyndromeColumns, x: Sequence[int]) -> int:
-    """Mixed-radix rank of phi(x), i.e. ``element_rank(phi_eval(hom, x))``.
+    """Mixed-radix rank (``AbelianGroup.element_rank``) of phi(x), the
+    residue-weighted sum of the generators at x.
 
     ``columns`` is :func:`syndrome_columns` of the homomorphism and x must
     have one coordinate per generator.
@@ -234,7 +220,7 @@ def check_bijection(hom: Homomorphism, vertices: Sequence[Point]) -> BijectionRe
     preimage together with the first vertex that repeats an image.  Each
     vertex is placed by its :func:`syndrome_rank`; the first rank left empty
     is the missing element.  A vertex of the wrong dimension raises
-    ValueError, as in :func:`phi_eval`, which stays the reference.
+    ValueError.
 
     >>> G = AbelianGroup((5,))
     >>> h = Homomorphism(G, ((1,), (2,)))
@@ -243,22 +229,30 @@ def check_bijection(hom: Homomorphism, vertices: Sequence[Point]) -> BijectionRe
     >>> check_bijection(h, [(0, 0), (2, 0), (0, 1), (1, 1), (2, 2)]).status
     'collision'
     """
+    return _rank_scan(hom, vertices)[0]
+
+
+def _rank_scan(hom: Homomorphism, vertices: Sequence[Point]
+               ) -> tuple[BijectionResult, dict[int, Point]]:
+    """:func:`check_bijection`'s result with the rank -> vertex map of its
+    scan, which holds every rank of the group when the result is ok."""
     columns = syndrome_columns(hom)
     # Ranks met so far, so memory follows the vertices, not the group order
     # a file may give; the least rank missing is at most their number.
     seen: dict[int, Point] = {}
-    for v in sorted(tuple(p) for p in vertices):
-        if len(v) != hom.dim:
-            raise ValueError(f"vertex dim {len(v)} != homomorphism dim {hom.dim}")
+    dim = hom.dim
+    for v in sorted(map(tuple, vertices)):
+        if len(v) != dim:
+            raise ValueError(f"vertex dim {len(v)} != homomorphism dim {dim}")
         r = syndrome_rank(columns, v)
         if r in seen:
-            return BijectionResult("collision", collision=(seen[r], v))
+            return BijectionResult("collision", collision=(seen[r], v)), seen
         seen[r] = v
     if len(seen) < hom.group.order:
         missing = next(r for r in count() if r not in seen)
         return BijectionResult("not_surjective",
-                               missing=hom.group.element_from_rank(missing))
-    return BijectionResult("ok")
+                               missing=hom.group.element_from_rank(missing)), seen
+    return BijectionResult("ok"), seen
 
 
 def torus_periods(hom: Homomorphism) -> TorusDims:
@@ -282,6 +276,14 @@ def check_periods(periods: TorusDims, dims: Sequence[int]) -> TorusDims:
     >>> check_periods((4, 2), (8, 2))
     (8, 2)
     """
+    dims = tuple(dims)
+    # One set of types, a positive least axis and no remainder pass the
+    # usual valid torus (decode's hot path); any other takes the full check
+    # below, which gives the error.  Nothing is memoised: 8.0 == 8 and
+    # True == 1 would find a valid torus's entry.
+    if ({*map(type, dims)} == {int} and len(dims) == len(periods)
+            and min(dims) > 0 and not any(map(mod, dims, periods))):
+        return dims
     dims = check_torus(len(periods), dims)
     for i, (d, p) in enumerate(zip(dims, periods)):
         if d % p:

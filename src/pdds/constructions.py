@@ -48,13 +48,16 @@ class Tile:
     def component_ids(self) -> list[int]:
         return sorted({cid for cid, _ in self.labels.values()})
 
-    def component(self, cid: int) -> Shape:
-        """The vertices of component cid (the devices labeled with it)."""
-        verts = {dev for c, dev in self.labels.values() if c == cid}
-        return Shape.of(verts, dim=self.shape.dim)
+    def components_by_id(self) -> dict[int, Shape]:
+        """Each component id, in order, with its vertices (the devices
+        labeled with it), from one pass over the labels."""
+        devices: dict[int, set[Point]] = {}
+        for cid, dev in self.labels.values():
+            devices.setdefault(cid, set()).add(dev)
+        return {cid: Shape.of(devices[cid], dim=self.shape.dim) for cid in sorted(devices)}
 
     def components(self) -> list[Shape]:
-        return [self.component(cid) for cid in self.component_ids()]
+        return list(self.components_by_id().values())
 
     def to_json(self) -> dict:
         return {

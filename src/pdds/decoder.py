@@ -8,22 +8,34 @@ translation preserves all distances — so decoding x is one table lookup plus
 a translation, no search.
 
 Everything that depends only on the table is computed once when it is
-built: the period torus, one generator column per cyclic factor (so the
-syndrome rank of x is a dot product per factor), and per rank the Lee
-distance from v to its device on the period torus.
+built, from the ranks the bijection check gives the tile's vertices: the
+period torus, one generator column per cyclic factor (so the syndrome rank
+of x is a dot product per factor), per rank the Lee distance from v to its
+device on the period torus, and per component one record that all its
+entries share.  The record holds the component's vertices and, when they
+fill a box on the grid, its corner c and extents e.
+
+The anchor reported with a decoding is the least vertex of the serving
+translate after torus reduction.  A box reduces to a product of per-axis
+intervals, and the least element of a product is the tuple of per-axis
+minima, so the anchor costs O(n): ``a_i = (c_i + z_i) mod d_i``, or 0
+where ``a_i + e_i > d_i`` and the interval wraps past the seam.  A
+component that is not a box, which only a loaded file can give, takes the
+least of its translated vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from operator import add, mod, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .abelian import (Homomorphism, SyndromeColumns, check_bijection,
+from .abelian import (Homomorphism, SyndromeColumns, _rank_scan,
                       check_periods, syndrome_columns, syndrome_rank,
                       torus_periods)
 from .constructions import Tile
-from .lattice import Point, TorusDims, check_point, torus_norm
+from .lattice import Point, TorusDims, box_runs, check_point, torus_norm
 
 
 class DecodeResult(NamedTuple):
@@ -39,11 +51,23 @@ class DecodeResult(NamedTuple):
                 "distance": self.distance}
 
 
+class Component(NamedTuple):
+    """A tile component's vertices, with its corner and extents if it is a box.
+
+    ``corner`` and ``extents`` are ``lattice.box_runs`` of the vertices on
+    the grid when the vertices fill that box, else None.
+    """
+
+    vertices: tuple[Point, ...]
+    corner: Optional[Point]
+    extents: Optional[tuple[int, ...]]
+
+
 class SyndromeEntry(NamedTuple):
     """The tile vertex carrying one syndrome, its component and its device."""
 
     vertex: Point
-    component: tuple[Point, ...]   # the vertices of its component
+    component: Component   # shared by every entry of the component
     device: Point
     distance: int          # from vertex to device, on the period torus
 
@@ -53,10 +77,10 @@ class SyndromeTable:
     """Precomputed syndrome-rank index over a tile's labels.
 
     ``entries[r]`` is the tile vertex whose syndrome has mixed-radix rank r
-    (see ``AbelianGroup.element_rank``), with its component's vertices
-    (to report the anchor of the translate that served a query) and its
-    device.  ``columns`` is ``abelian.syndrome_columns(hom)``, which ranks
-    a query by one dot product per cyclic factor.
+    (see ``AbelianGroup.element_rank``), with its component (to report the
+    anchor of the translate that served a query) and its device.
+    ``columns`` is ``abelian.syndrome_columns(hom)``, which ranks a query
+    by one dot product per cyclic factor.
     """
 
     periods: TorusDims
@@ -69,20 +93,32 @@ def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
 
     Requires the tile-to-group bijection to hold (raises ValueError with the
     collision or missing witness otherwise); the table then has exactly one
-    entry per group element.
+    entry per group element, read off the ranks the bijection check found.
     """
-    res = check_bijection(hom, tile.shape.vertices)
+    res, vertex_of_rank = _rank_scan(hom, tile.shape.vertices)
     if not res.ok:
         raise ValueError(f"tile does not map bijectively onto the group: {res}")
     periods = torus_periods(hom)
-    columns = syndrome_columns(hom)
-    components = {cid: tile.component(cid).vertices for cid in tile.component_ids()}
-    entries: list[Optional[SyndromeEntry]] = [None] * hom.group.order
-    for v in tile.shape.vertices:
+    components = {cid: _component(comp.vertices)
+                  for cid, comp in tile.components_by_id().items()}
+    entries = []
+    norms: dict[Point, int] = {}   # vertex-to-device offset -> its length
+    for r in range(hom.group.order):
+        v = vertex_of_rank[r]
         cid, device = tile.labels[v]
-        entries[syndrome_rank(columns, v)] = SyndromeEntry(
-            v, components[cid], device, torus_norm(map(sub, device, v), periods))
-    return SyndromeTable(periods, columns, entries)
+        offset = tuple(map(sub, device, v))
+        if offset not in norms:
+            norms[offset] = torus_norm(offset, periods)
+        entries.append(SyndromeEntry(v, components[cid], device, norms[offset]))
+    return SyndromeTable(periods, syndrome_columns(hom), entries)
+
+
+def _component(vertices: tuple[Point, ...]) -> Component:
+    """The record of one component: a box when its runs' box has its size."""
+    runs = box_runs(vertices, None)
+    if runs is None or prod(runs[1]) != len(vertices):
+        return Component(vertices, None, None)
+    return Component(vertices, *runs)
 
 
 def decode(table: SyndromeTable, x: Sequence[int],
@@ -99,11 +135,17 @@ def decode(table: SyndromeTable, x: Sequence[int],
     x = check_point(x)
     if len(x) != len(dims):
         raise ValueError(f"vertex has {len(x)} coordinates, expected {len(dims)}")
-    v, component, device, distance = table.entries[syndrome_rank(table.columns, x)]
+    v, component, tile_device, distance = table.entries[syndrome_rank(table.columns, x)]
     z = tuple(map(sub, x, v))
-    # The anchor is the least vertex of the component *after* torus reduction
+    device = tuple(map(mod, map(add, tile_device, z), dims))
+    # The anchor is the least vertex of the translate *after* torus reduction
     # (reduction can reorder vertices, e.g. when a component straddles 0).
-    anchor = min(tuple(map(mod, map(add, u, z), dims)) for u in component)
+    vertices, corner, extents = component
+    if extents is None:
+        anchor = min(tuple(map(mod, map(add, u, z), dims)) for u in vertices)
+    else:                          # per-axis minima, 0 where an interval wraps
+        anchor = tuple(a if a + e <= d else 0 for a, e, d in
+                       zip(map(mod, map(add, corner, z), dims), extents, dims))
     if torus is not None:
-        distance = torus_norm(map(sub, device, v), dims)
-    return DecodeResult(tuple(map(mod, map(add, device, z), dims)), anchor, distance)
+        distance = torus_norm(map(sub, tile_device, v), dims)
+    return DecodeResult(device, anchor, distance)

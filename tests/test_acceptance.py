@@ -22,7 +22,6 @@ from pdds.abelian import (
     AbelianGroup,
     check_bijection,
     enumerate_abelian_groups,
-    phi_eval,
     smith_quotient,
     syndrome_columns,
     syndrome_rank,
@@ -43,6 +42,8 @@ from pdds.decoder import build_syndrome_table, decode
 from pdds.lattice import (BoxSpec, Shape, _offset_ball, box_shape, is_box,
                           strides, t_neighborhood)
 from pdds.search import SearchProblem, exact_cover_search
+
+from group_oracle import phi_eval
 from pdds.verifier import (
     _kernel_elements,
     _translation_classes,

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from pdds.abelian import AbelianGroup, check_bijection, phi_eval, torus_periods
+from pdds.abelian import AbelianGroup, check_bijection, torus_periods
 from pdds.constructions import (
     FAMILIES,
     Construction,
@@ -21,6 +21,7 @@ from pdds.constructions import (
 )
 from pdds.lattice import BoxSpec, _offset_ball, is_box
 from pdds.verifier import instantiate_on_torus, verify_pdds
+from group_oracle import phi_eval
 from test_acceptance import (CATALOG, VERIFY_CAP, corrupt_tile, period_volume,
                              tile_is_pdds_on_zn)
 
@@ -296,7 +297,7 @@ def test_construction_json_rejects_untrusted_device_labels():
     c = pdds_t_path_2d(2, 3, "two_copy")
     u, (cid, dev) = next((u, lab) for u, lab in sorted(c.tile.labels.items())
                          if u != lab[1])
-    far = max(c.tile.component(cid).vertices,
+    far = max(c.tile.components_by_id()[cid].vertices,
               key=lambda w: sum(abs(a - b) for a, b in zip(u, w)))
     with pytest.raises(ValueError, match="not the unique nearest vertex"):
         Construction.from_json(_relabel(c.to_json(), u, far))

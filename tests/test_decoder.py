@@ -1,11 +1,12 @@
 import itertools
 import random
 from math import gcd, lcm
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdds.abelian import AbelianGroup, Homomorphism
+from pdds.abelian import AbelianGroup, Homomorphism, torus_periods
 from pdds.constructions import (
     Construction,
     Tile,
@@ -18,6 +19,7 @@ from pdds.constructions import (
 from pdds.decoder import build_syndrome_table, decode
 from pdds.lattice import Shape, lee_distance
 from pdds.verifier import _kernel_elements, instantiate_on_torus
+from group_oracle import phi_eval
 from test_acceptance import CATALOG
 
 
@@ -142,13 +144,35 @@ def test_decode_validates_torus_and_vertex():
         decode(table, (0, 0))
 
 
-@pytest.mark.parametrize("torus", [(5.5, 5), (5, 10.0), (True, 5)])
+def period_one_table():
+    """A 1 x 5 column over Z5 with periods (1, 5), so (1, 5) is a valid
+    torus and a check that took True for 1 would pass (True, 5)."""
+    verts = [(0, y) for y in range(5)]
+    tile = Tile(Shape.of(verts), {v: (0, v) for v in verts})
+    return build_syndrome_table(tile, Homomorphism(AbelianGroup((5,)), ((0,), (1,))))
+
+
+@pytest.mark.parametrize("torus", [(5.5, 5), (5, 10.0), (True, 5), (0, 5), (-5, 5)])
 def test_decode_rejects_non_integer_torus(torus):
-    # (5.5, 5) used to be truncated to the period torus and answered
-    c = plc_n1(2)
-    table = build_syndrome_table(c.tile, c.hom)
+    # (5.5, 5) used to be truncated to the period torus and answered.  Each
+    # bad torus comes after the same table has decoded a valid int torus,
+    # the one equal to it where there is one, so nothing remembered from
+    # that query may let it through; 0 and -5 leave no remainder.
+    table = period_one_table()
+    same = tuple(map(int, torus)) if min(torus) > 0 else (5, 5)
+    row = 1 % same[0]
+    assert decode(table, (1, 2), same) == ((row, 2), (row, 0), 0)
     with pytest.raises(ValueError, match="positive integers"):
         decode(table, (1, 2), torus)
+
+
+def test_decode_on_a_torus_axis_of_10_to_the_30_periods():
+    c = plc_n1(2)
+    table = build_syndrome_table(c.tile, c.hom)
+    torus = (5 * 10**30, 5)
+    x = (10**30 + 7, -3)
+    want, _ = LeeBallDecoder(c).decode(x, torus)
+    assert tuple(decode(table, x, torus)) == want
 
 
 @pytest.mark.parametrize("x", [(1.5, 2), (1, 2.0), (True, 2), ("1", 2)])
@@ -335,3 +359,70 @@ def test_distance_is_measured_on_the_given_torus():
     table = build_syndrome_table(tile, Homomorphism(AbelianGroup((2,)), ((1,),)))
     assert decode(table, (3,)) == ((0,), (0,), 1)
     assert decode(table, (3,), (6,)) == ((0,), (0,), 3)
+
+
+def test_every_table_entry_decodes_its_kernel_translates():
+    # Each tile vertex v plus kernel elements z found without the table
+    # (z = w - u, u the tile vertex with w's image under the reference
+    # homomorphism) must decode to v's label shifted by z, on the period
+    # torus and with the first axis doubled.  So every entry of all 100
+    # tables is read, where whole-torus decoding reaches fewer entries.
+    rng = random.Random(2020)
+    checked = wrapped = 0
+    for name, c in CATALOG:
+        table = build_syndrome_table(c.tile, c.hom)
+        periods = torus_periods(c.hom)
+        preimage = {phi_eval(c.hom, u): u for u in c.tile.shape.vertices}
+        kernel = []
+        for _ in range(3):
+            w = tuple(rng.randint(-3 * p, 3 * p) for p in periods)
+            kernel.append(tuple(map(sub, w, preimage[phi_eval(c.hom, w)])))
+        members = {cid: comp.vertices for cid, comp in c.tile.components_by_id().items()}
+        for dims in (periods, (2 * periods[0],) + periods[1:]):
+            for v in c.tile.shape.vertices:
+                cid, device = c.tile.labels[v]
+                distance = sum(min((a - b) % d, (b - a) % d)
+                               for a, b, d in zip(device, v, dims))
+                for z in kernel:
+                    moved = [tuple((a + b) % d for a, b, d in zip(u, z, dims))
+                             for u in members[cid]]
+                    want = (moved[members[cid].index(device)], min(moved), distance)
+                    got = decode(table, tuple(map(add, v, z)),
+                                 None if dims == periods else dims)
+                    assert got == want, (name, v, z, dims)
+                    checked += 1
+                    wrapped += min(moved) != moved[0]
+    assert checked == 6 * sum(len(c.tile.shape) for _, c in CATALOG)
+    # Translates that straddle a seam, whose anchor is not the moved corner
+    # (641 with this seed).
+    assert wrapped >= 500, wrapped
+
+
+def t0_construction(vertices, moduli, generators):
+    """A loaded t = 0 construction whose tile is one component."""
+    dim = len(vertices[0])
+    return Construction.from_json({
+        "t": 0, "h": {"extents": [1] * dim},
+        "hom": {"moduli": moduli, "generators": generators},
+        "tile": {"dim": dim, "vertices": vertices,
+                 "labels": [{"v": v, "component": 0, "device": v} for v in vertices]}})
+
+
+@pytest.mark.parametrize("vertices, moduli, generators, tori", [
+    # An L-shaped component: its runs give a 2 x 2 box it does not fill.
+    ([[0, 0], [1, 0], [0, 1]], [3], [[1], [2]], [(3, 3), (6, 3), (3, 9)]),
+    # A box whose extent equals its torus axis: a full ring on (2,).
+    ([[0], [1]], [2], [[1]], [(2,), (4,)]),
+])
+def test_decode_anchor_is_the_least_reduced_vertex_of_the_component(
+        vertices, moduli, generators, tori):
+    c = t0_construction(vertices, moduli, generators)
+    table = build_syndrome_table(c.tile, c.hom)
+    preimage = {phi_eval(c.hom, u): u for u in c.tile.shape.vertices}
+    for dims in tori:
+        for x in itertools.product(*map(range, dims)):
+            z = tuple(map(sub, x, preimage[phi_eval(c.hom, x)]))
+            anchor = min(tuple((a + b) % d for a, b, d in zip(u, z, dims))
+                         for u in c.tile.shape.vertices)
+            got = decode(table, x, None if dims == table.periods else dims)
+            assert got == (x, anchor, 0), (dims, x)

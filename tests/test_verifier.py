@@ -9,7 +9,7 @@ from operator import add
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pdds.abelian import (Homomorphism, AbelianGroup, check_bijection, phi_eval,
+from pdds.abelian import (Homomorphism, AbelianGroup, check_bijection,
                           syndrome_columns, syndrome_ranks, torus_periods)
 from pdds.constructions import (
     Construction,
@@ -38,6 +38,7 @@ from pdds.verifier import (
     verify_partition,
     verify_pdds,
 )
+from group_oracle import phi_eval
 from test_acceptance import (CATALOG, VERIFY_CAP, corrupt_tile, partition_by_vertex,
                              period_instance, period_volume)
 
