@@ -16,7 +16,6 @@ from .abelian import (
     check_bijection,
     enumerate_abelian_groups,
     molnar_k_set,
-    smith_quotient,
     torus_periods,
 )
 from .constructions import (
@@ -63,8 +62,7 @@ from .verifier import (
 __all__ = [
     "__version__",
     "AbelianGroup", "BijectionResult", "Homomorphism", "check_bijection",
-    "enumerate_abelian_groups", "molnar_k_set", "smith_quotient",
-    "torus_periods",
+    "enumerate_abelian_groups", "molnar_k_set", "torus_periods",
     "FAMILIES", "Construction", "Tile", "minkowski_p2",
     "nonlattice_p2_example", "pdds1_path", "pdds1_q3", "pdds1_square",
     "pdds_t_box2xk_2d", "pdds_t_path_2d", "plc_n1",

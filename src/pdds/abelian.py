@@ -12,15 +12,13 @@ exactly once.  When the vertex set is a candidate tile, that bijection is
 exactly the algebraic condition for the tile's translates under the
 homomorphism's kernel to partition the grid.
 
-:func:`smith_quotient` computes the quotient ``Z^n / L`` for a full-rank
-sublattice ``L`` via Smith normal form, and
 :func:`enumerate_abelian_groups` lists the isomorphism classes of a given
-order, both in invariant-factor canonical form.
+order in invariant-factor canonical form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, count, product
 from math import gcd, lcm, prod
 from operator import mod, mul
@@ -200,12 +198,16 @@ class BijectionResult:
 
     status is "ok", "collision" (with the first colliding vertex pair in
     canonical scan order), or "not_surjective" (with the first missing group
-    element in lexicographic residue order).
+    element in lexicographic residue order).  ``vertex_of_rank`` maps each
+    rank the scan met to its vertex, so it holds every rank of the group
+    when the result is ok; it is left out of repr and equality.
     """
 
     status: str
     collision: Optional[tuple[Point, Point]] = None
     missing: Optional[GroupElement] = None
+    vertex_of_rank: dict[int, Point] = field(default_factory=dict, repr=False,
+                                             compare=False)
 
     @property
     def ok(self) -> bool:
@@ -229,13 +231,6 @@ def check_bijection(hom: Homomorphism, vertices: Sequence[Point]) -> BijectionRe
     >>> check_bijection(h, [(0, 0), (2, 0), (0, 1), (1, 1), (2, 2)]).status
     'collision'
     """
-    return _rank_scan(hom, vertices)[0]
-
-
-def _rank_scan(hom: Homomorphism, vertices: Sequence[Point]
-               ) -> tuple[BijectionResult, dict[int, Point]]:
-    """:func:`check_bijection`'s result with the rank -> vertex map of its
-    scan, which holds every rank of the group when the result is ok."""
     columns = syndrome_columns(hom)
     # Ranks met so far, so memory follows the vertices, not the group order
     # a file may give; the least rank missing is at most their number.
@@ -246,13 +241,15 @@ def _rank_scan(hom: Homomorphism, vertices: Sequence[Point]
             raise ValueError(f"vertex dim {len(v)} != homomorphism dim {dim}")
         r = syndrome_rank(columns, v)
         if r in seen:
-            return BijectionResult("collision", collision=(seen[r], v)), seen
+            return BijectionResult("collision", collision=(seen[r], v),
+                                   vertex_of_rank=seen)
         seen[r] = v
     if len(seen) < hom.group.order:
         missing = next(r for r in count() if r not in seen)
         return BijectionResult("not_surjective",
-                               missing=hom.group.element_from_rank(missing)), seen
-    return BijectionResult("ok"), seen
+                               missing=hom.group.element_from_rank(missing),
+                               vertex_of_rank=seen)
+    return BijectionResult("ok", vertex_of_rank=seen)
 
 
 def torus_periods(hom: Homomorphism) -> TorusDims:
@@ -369,80 +366,3 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
                  for p in primes]
     return [AbelianGroup(tuple(chain.from_iterable(choice))).canonical()
             for choice in product(*per_prime)]
-
-
-def smith_quotient(basis: Sequence[Sequence[int]]) -> AbelianGroup:
-    """Quotient Z^n / L for the full-rank lattice L spanned by the basis rows.
-
-    Diagonalizes the basis matrix by integer row/column operations (Smith
-    normal form); the quotient is the product of Z_{d_i} over the diagonal,
-    with trivial factors dropped and the group returned in invariant-factor
-    form.  The quotient's order equals |det(basis)|.  Raises ValueError if
-    the rows do not span a full-rank lattice.
-
-    >>> smith_quotient([(3, 2), (-2, 3)])
-    AbelianGroup(moduli=(13,))
-    >>> smith_quotient([(13, 0), (3, 2)])
-    AbelianGroup(moduli=(26,))
-    """
-    rows = [list(map(int, r)) for r in basis]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("basis must be a square matrix")
-    a = [r[:] for r in rows]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    for k in range(n):
-        while True:
-            # Find the entry of least nonzero magnitude in the submatrix and
-            # pivot it to (k, k).
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise ValueError("basis is singular: rows do not span a full-rank lattice")
-            swap_rows(k, best[0])
-            swap_cols(k, best[1])
-            pivot = a[k][k]
-            done = True
-            for i in range(k + 1, n):
-                q = a[i][k] // pivot
-                if q:
-                    for j in range(k, n):
-                        a[i][j] -= q * a[k][j]
-                if a[i][k]:
-                    done = False
-            for j in range(k + 1, n):
-                q = a[k][j] // pivot
-                if q:
-                    for i in range(k, n):
-                        a[i][j] -= q * a[i][k]
-                if a[k][j]:
-                    done = False
-            if done:
-                break
-        # The rest of the row and column are zero; normalize the pivot sign.
-        if a[k][k] < 0:
-            for j in range(k, n):
-                a[k][j] = -a[k][j]
-
-    diag = [a[i][i] for i in range(n)]
-    if any(d == 0 for d in diag):
-        raise ValueError("basis is singular: rows do not span a full-rank lattice")
-    # Enforce the divisibility chain d_1 | d_2 | ... by gcd/lcm on pairs.
-    for i in range(n):
-        for j in range(i + 1, n):
-            if diag[j] % diag[i]:
-                g = gcd(diag[i], diag[j])
-                diag[j] = diag[i] * diag[j] // g
-                diag[i] = g
-    nontrivial = tuple(d for d in diag if d > 1)
-    return AbelianGroup(nontrivial).canonical()

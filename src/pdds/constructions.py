@@ -45,9 +45,6 @@ class Tile:
     shape: Shape
     labels: dict[Point, tuple[int, Point]] = field(repr=False)
 
-    def component_ids(self) -> list[int]:
-        return sorted({cid for cid, _ in self.labels.values()})
-
     def components_by_id(self) -> dict[int, Shape]:
         """Each component id, in order, with its vertices (the devices
         labeled with it), from one pass over the labels."""
@@ -103,7 +100,7 @@ class Construction:
         geometric question about a concrete instance is answered by the
         verifier's ``is_lattice_like``.
         """
-        return len(self.tile.component_ids()) == 1
+        return len({cid for cid, _ in self.tile.labels.values()}) == 1
 
     def to_json(self) -> dict:
         return {

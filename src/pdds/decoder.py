@@ -27,11 +27,10 @@ least of its translated vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from operator import add, mod, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .abelian import (Homomorphism, SyndromeColumns, _rank_scan,
+from .abelian import (Homomorphism, SyndromeColumns, check_bijection,
                       check_periods, syndrome_columns, syndrome_rank,
                       torus_periods)
 from .constructions import Tile
@@ -55,7 +54,7 @@ class Component(NamedTuple):
     """A tile component's vertices, with its corner and extents if it is a box.
 
     ``corner`` and ``extents`` are ``lattice.box_runs`` of the vertices on
-    the grid when the vertices fill that box, else None.
+    the grid, None when the vertices do not fill a box.
     """
 
     vertices: tuple[Point, ...]
@@ -95,30 +94,22 @@ def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
     collision or missing witness otherwise); the table then has exactly one
     entry per group element, read off the ranks the bijection check found.
     """
-    res, vertex_of_rank = _rank_scan(hom, tile.shape.vertices)
+    res = check_bijection(hom, tile.shape.vertices)
     if not res.ok:
         raise ValueError(f"tile does not map bijectively onto the group: {res}")
     periods = torus_periods(hom)
-    components = {cid: _component(comp.vertices)
+    components = {cid: Component(comp.vertices,
+                                 *(box_runs(comp.vertices, None) or (None, None)))
                   for cid, comp in tile.components_by_id().items()}
     entries = []
     norms: dict[Point, int] = {}   # vertex-to-device offset -> its length
-    for r in range(hom.group.order):
-        v = vertex_of_rank[r]
+    for v in map(res.vertex_of_rank.__getitem__, range(hom.group.order)):
         cid, device = tile.labels[v]
         offset = tuple(map(sub, device, v))
         if offset not in norms:
             norms[offset] = torus_norm(offset, periods)
         entries.append(SyndromeEntry(v, components[cid], device, norms[offset]))
     return SyndromeTable(periods, syndrome_columns(hom), entries)
-
-
-def _component(vertices: tuple[Point, ...]) -> Component:
-    """The record of one component: a box when its runs' box has its size."""
-    runs = box_runs(vertices, None)
-    if runs is None or prod(runs[1]) != len(vertices):
-        return Component(vertices, None, None)
-    return Component(vertices, *runs)
 
 
 def decode(table: SyndromeTable, x: Sequence[int],

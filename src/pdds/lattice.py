@@ -370,12 +370,9 @@ def t_neighborhood(shape: Shape, t: int,
 def is_box(shape: Shape, torus: Optional[TorusDims] = None) -> Optional[BoxSpec]:
     """Extents of the shape if it is exactly an axis-aligned box, else None.
 
-    On each axis the coordinates, reduced mod the torus if one is given,
-    must form one interval (:func:`box_runs`; on a torus axis of length
-    d > 1 an interval may wrap the seam, and full rings are rejected).
-    The shape then equals the box of those intervals exactly when its size
-    is the box's volume (two vertices equal mod the torus make it too
-    large).
+    The shape must fill the box of its per-axis runs (:func:`box_runs`,
+    which reduces mod the torus if one is given; on a torus axis of length
+    d > 1 a run may wrap the seam), and full rings are rejected.
 
     >>> is_box(Shape.of([(3, 1), (4, 1)]))
     BoxSpec(extents=(2, 1))
@@ -386,40 +383,42 @@ def is_box(shape: Shape, torus: Optional[TorusDims] = None) -> Optional[BoxSpec]
     """
     dims = check_torus(shape.dim, torus)
     runs = box_runs(shape.vertices, dims)
-    if runs is None:
+    if runs is None or (dims is not None and any(e == d > 1 for e, d in zip(runs[1], dims))):
         return None
-    extents = runs[1]
-    if dims is not None and any(e == d > 1 for e, d in zip(extents, dims)):
-        return None
-    return BoxSpec(extents) if prod(extents) == len(shape) else None
+    return BoxSpec(runs[1])
 
 
 def box_runs(verts: Sequence[Sequence[int]], dims: Optional[TorusDims]
              ) -> Optional[tuple[Point, tuple[int, ...]]]:
-    """``(corner, extents)`` when every axis's coordinates form one run.
+    """``(corner, extents)`` of the box that verts fill, else None.
 
     Per axis, the coordinates of verts (reduced mod dims if given) must
     have exactly one start, a c with c - 1 absent (mod d on a torus), and
     the run has that start and the number of coordinates as its size; on
-    a torus a whole axis has no start and counts as a run from 0.  None
-    when an axis has a gap or verts is empty.  The box of these runs
-    holds verts; whether verts fill it is the caller's count.
+    a torus a whole axis has no start and counts as a run from 0.  The
+    box of these runs holds verts, and verts fill it exactly when they
+    are distinct (after reduction) and as many as the box's volume.  None
+    when an axis has a gap, when verts repeat a vertex or fall short of
+    the box, or when verts is empty.
 
     >>> box_runs([(4, 1), (0, 1)], (5, 3))
     ((4, 1), (2, 1))
+    >>> box_runs([(0, 0), (4, 0), (1, 1), (0, 1)], (4, 6)) is None
+    True
     """
     if not verts:
         return None
+    cols = list(zip(*verts))
+    if dims is not None:
+        cols = [tuple(map(mod, col, repeat(d))) for col, d in zip(cols, dims)]
     corner, extents = [], []
-    for i in range(len(verts[0])):
-        coords = map(itemgetter(i), verts)
-        if dims is not None:
-            coords = map(mod, coords, repeat(dims[i]))
-        present = set(coords)
-        d = None if dims is None else dims[i]
+    for col, d in zip(cols, dims or repeat(None)):
+        present = set(col)
         starts = [c for c in present if (c - 1 if d is None else (c - 1) % d) not in present]
         if len(starts) > 1:
             return None
         corner.append(starts[0] if starts else 0)
         extents.append(len(present))
+    if prod(extents) != len(verts) or len(set(zip(*cols))) != len(verts):
+        return None
     return tuple(corner), tuple(extents)

@@ -270,16 +270,14 @@ def _canonical(offsets: tuple[Point, ...], dims: Sequence[int]
     set is invariant, it has coordinate 0) or, if no vertex does, is any
     vertex; ``canon`` is the least over these.
 
-    A box (each coordinate projection one interval or the whole axis, and
-    as many distinct vertices as the product of their sizes) has one such
-    u, read off the projections' run starts; its canon is then the box at
-    the origin.  Any other shape takes the scan over all vertices.
+    A box (:func:`lattice.box_runs`) has one such u, its corner; its canon
+    is then the box at the origin.  Any other shape takes the scan over all
+    vertices.
     """
-    pts = set(offsets)
     runs = box_runs(offsets, dims)
-    if runs is not None and len(pts) == len(offsets) == prod(runs[1]):
+    if runs is not None:
         return tuple(_cartesian(*map(range, runs[1]))), runs[0]
-    cands = pts
+    cands = pts = set(offsets)
     for i, d in enumerate(dims):
         def has_pred(p):
             return p[:i] + ((p[i] - 1) % d,) + p[i + 1:] in pts

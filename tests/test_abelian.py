@@ -12,7 +12,6 @@ from pdds.abelian import (
     check_bijection,
     enumerate_abelian_groups,
     molnar_k_set,
-    smith_quotient,
     syndrome_columns,
     syndrome_rank,
     syndrome_ranks,
@@ -263,44 +262,3 @@ def test_molnar_k_set_noncyclic_and_errors():
     assert len(seen) == 8 and g.identity() not in seen
     with pytest.raises(ValueError):
         molnar_k_set(AbelianGroup((8,)))
-
-
-def test_smith_quotient_pins():
-    assert smith_quotient([(3, 2), (-2, 3)]) == AbelianGroup((13,))
-    assert smith_quotient([(13, 0), (3, 2)]) == AbelianGroup((26,))
-    assert smith_quotient([(2, 0), (0, 2)]) == AbelianGroup((2, 2))
-    assert smith_quotient([(1, 0), (0, 7)]) == AbelianGroup((7,))
-
-
-def test_smith_quotient_unimodular_invariance():
-    rng = random.Random(4242)
-    base = [(3, 2), (-2, 3)]
-    for _ in range(60):
-        rows = [list(r) for r in base]
-        for _ in range(6):
-            op = rng.randrange(3)
-            i, j = rng.sample(range(2), 2)
-            if op == 0:
-                c = rng.randint(-2, 2)
-                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-            elif op == 1:
-                rows[i], rows[j] = rows[j], rows[i]
-            else:
-                rows[i] = [-a for a in rows[i]]
-        assert smith_quotient([tuple(r) for r in rows]) == AbelianGroup((13,))
-
-
-def test_smith_quotient_singular():
-    with pytest.raises(ValueError):
-        smith_quotient([(1, 2), (2, 4)])
-
-
-def test_smith_quotient_order_equals_abs_determinant():
-    rng = random.Random(31337)
-    for _ in range(80):
-        m = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if det == 0:
-            continue
-        q = smith_quotient([tuple(r) for r in m])
-        assert q.order == abs(det)

@@ -1,4 +1,7 @@
-"""Acceptance suite: one test per published criterion, numbered 01-10.
+"""Acceptance suite: one test per published criterion, numbered 01-09.
+
+Criterion 10 (lattice-quotient pins) is retired together with
+``abelian.smith_quotient``, which no package code called.
 
 Heavy sweeps honor explicit feasibility caps.  Some catalog codes live on
 period tori far larger than any desk-scale budget (the worst is ~3*10^11
@@ -19,10 +22,8 @@ from functools import lru_cache
 from math import prod
 
 from pdds.abelian import (
-    AbelianGroup,
     check_bijection,
     enumerate_abelian_groups,
-    smith_quotient,
     syndrome_columns,
     syndrome_rank,
     torus_periods,
@@ -411,8 +412,3 @@ def test_criterion_09_generator_resolution_regression():
         assert c.hom.group.moduli == moduli, (t, k)
         assert c.hom.generators == gens, (t, k)
         assert check_bijection(c.hom, c.tile.shape.vertices).ok, (t, k)
-
-
-def test_criterion_10_smith_quotient_pins():
-    assert smith_quotient([(3, 2), (-2, 3)]) == AbelianGroup((13,))
-    assert smith_quotient([(13, 0), (3, 2)]) == AbelianGroup((26,))

@@ -1,18 +1,25 @@
-"""Every name a pdds module imports is used in that module, and every
-private module-level function or class is used somewhere in the package.
+"""Every name a pdds module or test file imports is used in that file,
+every private module-level function or class is used somewhere in the
+package, and every public one is used there too or is documented API.
 
-No linter runs on this package, so these stdlib checks catch imports and
-helpers left behind when code is deleted.  Names listed in a module's
-``__all__`` count as used (the package ``__init__`` imports in order to
-re-export).  Tests do not count as callers of a private helper.
+No linter runs on this package, so these stdlib checks catch imports,
+helpers and functions left behind when code is deleted.  Names listed in a
+module's ``__all__`` count as used (the package ``__init__`` imports in
+order to re-export).  Tests do not count as callers of a package function.
 """
 
 import ast
+import re
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pdds"
+import pdds
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pdds"
+TESTS = ROOT / "tests"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -64,7 +71,8 @@ def _unused(source: str) -> dict[str, int]:
             if name not in used}
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_every_import_is_used(path):
     unused = _unused(path.read_text(encoding="utf-8"))
     assert not unused, f"{path.name}: unused imports {unused}"
@@ -77,15 +85,17 @@ def test_check_sees_unused_and_used_imports():
     assert _unused(source) == {"os": 3}
 
 
-def _private_without_caller(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` functions and classes that no code refers to
-    outside their own definition, as ``module.name``."""
+def _without_caller(sources: dict[str, str], private: bool) -> list[str]:
+    """Module-level functions and classes, private (``_name``) or public,
+    that no code refers to outside their own definition, as
+    ``module.name``."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     out = []
     for mod, tree in trees.items():
         for node in tree.body:
             if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
+                    and node.name.startswith("_") == private
+                    and not node.name.startswith("__")):
                 continue
             name = node.name
             used = any(
@@ -98,9 +108,19 @@ def _private_without_caller(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def _public_without_caller(sources: dict[str, str], exported: Sequence[str],
+                           readme: str) -> list[str]:
+    """Public module-level functions and classes with no caller in the
+    sources that are not documented API: exported (``exported``, the
+    package ``__all__``) and named in ``readme``."""
+    return [qual for qual in _without_caller(sources, private=False)
+            if not (qual.split(".")[1] in exported
+                    and re.search(rf"\b{qual.split('.')[1]}\b", readme))]
+
+
 def test_every_private_helper_has_a_caller():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert _private_without_caller(sources) == []
+    assert _without_caller(sources, private=True) == []
 
 
 def test_check_sees_private_helpers_without_callers():
@@ -113,4 +133,27 @@ def test_check_sees_private_helpers_without_callers():
         "b": "import a\nx = a._from_elsewhere\n",
         "c": "def _from_elsewhere():\n    pass\n",
     }
-    assert _private_without_caller(sources) == ["a._self_only", "a._Orphan"]
+    assert _without_caller(sources, private=True) == ["a._self_only", "a._Orphan"]
+
+
+def test_every_public_function_has_a_caller_or_is_documented():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _public_without_caller(sources, pdds.__all__, readme) == []
+
+
+def test_check_sees_public_names_without_callers_or_docs():
+    sources = {
+        "a": ("def used():\n    return 1\n"
+              "def orphan():\n    return used()\n"
+              "def documented():\n    pass\n"
+              "def exported_only():\n    pass\n"
+              "def named_only():\n    pass\n"
+              "class Record:\n    pass\n"
+              "def _private():\n    pass\n"),
+        "b": "import a\nx = a.Record\n",
+    }
+    readme = "Call `documented()` or `named_only`; `exported_only_not` is another name."
+    exported = ["documented", "exported_only"]
+    assert _public_without_caller(sources, exported, readme) == [
+        "a.orphan", "a.exported_only", "a.named_only"]

@@ -212,6 +212,8 @@ def test_is_box_accepts_boxes_rejects_others():
     assert is_box(ell) is None
     gapped = Shape.of([(0, 0), (2, 0)])
     assert is_box(gapped) is None
+    # (4, 0) is (0, 0) on the torus: three cells, not the 2x2 box.
+    assert is_box(Shape.of([(0, 0), (4, 0), (1, 1), (0, 1)]), (4, 6)) is None
 
 
 def test_flat_index_is_lexicographic_order():

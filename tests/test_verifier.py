@@ -286,6 +286,17 @@ def test_component_wrapping_whole_axis_is_not_a_box():
     assert any(v.kind == "component_not_box" for v in report.violations)
 
 
+def test_component_repeating_a_torus_vertex_is_not_a_box():
+    # (4, 0) is (0, 0) on the torus: four vertices with 2x2 runs, three cells
+    inst = PDDSInstance.loads(
+        '{"torus": [4, 6], "t": 0, "h": {"extents": [2, 2]},'
+        ' "components": [[[0, 0], [4, 0], [1, 1], [0, 1]]]}')
+    report = verify_pdds(inst)
+    at_corner = {v.kind: v.detail for v in report.violations if v.vertex == (0, 0)}
+    assert at_corner.keys() == {"ambiguous_nearest", "component_not_box"}
+    assert at_corner["component_not_box"].startswith("component 0 (4 vertices)")
+
+
 def test_instance_json_round_trip_and_component_order():
     inst = instantiate_on_torus(pdds1_square(0))
     again = PDDSInstance.loads(inst.dumps())
