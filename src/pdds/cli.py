@@ -54,6 +54,10 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _emit_json(payload: object, out_path: Optional[str]) -> None:
+    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+
+
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -63,7 +67,10 @@ def _read_source(path: str) -> str:
 
 def _load_any(path: str) -> Union[Construction, PDDSInstance]:
     """Parse a construction or an instance, telling them apart by shape."""
-    data = json.loads(_read_source(path))
+    try:
+        data = json.loads(_read_source(path))
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     if "hom" in data:
@@ -100,7 +107,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"family {args.family!r} does not take {', '.join(sorted(stray))}")
     con = FAMILIES[args.family](**kwargs)
-    _emit(con.dumps() + "\n", args.output)
+    _emit_json(con.to_json(), args.output)
     return 0
 
 
@@ -114,7 +121,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise _UsageError("--torus applies only to construction input")
         inst = obj
     report = verify_pdds(inst, strict_box=args.strict_box == "true")
-    _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
+    _emit_json(report.to_json(), args.output)
     return 0 if report.passed else 1
 
 
@@ -125,7 +132,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     table = build_syndrome_table(obj.tile, obj.hom)
     torus = _ints(args.torus, "--torus") if args.torus else None
     result = decode(table, _ints(args.vertex, "--vertex"), torus)
-    _emit(json.dumps(result.to_json(), indent=2) + "\n", args.output)
+    _emit_json(result.to_json(), args.output)
     return 0
 
 
@@ -134,18 +141,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         _ints(args.torus, "--torus"), args.t, BoxSpec(_ints(args.H, "--H")),
         "all_axis_permutations" if args.orientations == "all" else "fixed")
     result = exact_cover_search(problem, max_cells=args.max_cells)
-    _emit(result.dumps() + "\n", args.output)
+    _emit_json(result.to_json(), args.output)
     return 0 if result.outcome == "found" else 3
 
 
 def _cmd_groups(args: argparse.Namespace) -> int:
     groups = enumerate_abelian_groups(args.order)
-    payload = {
-        "order": args.order,
-        "count": len(groups),
-        "groups": [list(g.moduli) for g in groups],
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit_json({"order": args.order, "count": len(groups),
+                "groups": [list(g.moduli) for g in groups]}, args.output)
     return 0
 
 

@@ -53,9 +53,6 @@ class Tile:
             devices.setdefault(cid, set()).add(dev)
         return {cid: Shape.of(devices[cid], dim=self.shape.dim) for cid in sorted(devices)}
 
-    def components(self) -> list[Shape]:
-        return list(self.components_by_id().values())
-
     def to_json(self) -> dict:
         return {
             "dim": self.shape.dim,
@@ -127,10 +124,6 @@ class Construction:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
-
-    @classmethod
-    def loads(cls, text: str) -> "Construction":
-        return cls.from_json(json.loads(text))
 
 
 def _check_labels(tile: Tile, t: int) -> None:

@@ -76,8 +76,9 @@ class SyndromeTable:
     """Precomputed syndrome-rank index over a tile's labels.
 
     ``entries[r]`` is the tile vertex whose syndrome has mixed-radix rank r
-    (see ``AbelianGroup.element_rank``), with its component (to report the
-    anchor of the translate that served a query) and its device.
+    (its residues dotted with ``lattice.strides`` of the moduli), with its
+    component (to report the anchor of the translate that served a query)
+    and its device.
     ``columns`` is ``abelian.syndrome_columns(hom)``, which ranks a query
     by one dot product per cyclic factor.
     """

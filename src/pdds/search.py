@@ -16,7 +16,6 @@ nonexistence on that torus (for the given orientation set).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from itertools import permutations, product as _cartesian
@@ -24,8 +23,8 @@ from math import prod
 from typing import NamedTuple, Optional
 
 from .lattice import (BoxSpec, Point, Shape, box_shape, check_radius,
-                      check_torus, is_int, nearest_within, shifted_flats,
-                      unflatten)
+                      check_torus, is_box, is_int, nearest_within,
+                      shifted_flats, unflatten)
 from .verifier import PDDSInstance, verify_pdds
 
 DEFAULT_MAX_CELLS = 4096
@@ -88,19 +87,17 @@ class SearchResult:
             "instance": None if self.instance is None else self.instance.to_json(),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def _allowed_orientations(
         problem: SearchProblem) -> dict[tuple[int, ...], tuple[Point, ...]]:
     """Distinct extent orderings that a t-PDDS on the torus can use, each
     with its box's t-neighborhood on the torus (sorted vertices).
 
-    An extent equal to its torus dimension (above 1) would wrap the axis
-    into a full ring, which is not a box translate on the torus; such
-    orientations are dropped entirely.  So are orientations whose
-    neighborhood wraps far enough that some vertex has two nearest
+    The box must stay a box on the torus (``lattice.is_box``): an extent
+    equal to its torus dimension (above 1) would wrap the axis into a full
+    ring, and a larger one repeats vertices (a box above the torus's volume
+    is not built).  Such orientations are dropped entirely.  So are those
+    whose neighborhood wraps far enough that some vertex has two nearest
     component vertices (a domino on a 3-ring at t = 1): no t-PDDS can use
     them, and translation preserves this, so one anchor decides it.
     """
@@ -111,8 +108,8 @@ def _allowed_orientations(
     dims, t = problem.torus, problem.t
     allowed = {}
     for exts in candidates:
-        if all(e < d or (e == d == 1) for e, d in zip(exts, dims)):
-            near = nearest_within(box_shape(BoxSpec(exts)).vertices, t, dims)
+        if prod(exts) <= problem.volume and is_box(box := box_shape(BoxSpec(exts)), dims):
+            near = nearest_within(box.vertices, t, dims)
             if all(count == 1 for _, count, _ in near.values()):
                 allowed[exts] = tuple(sorted(near))
     return allowed

@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .abelian import (Homomorphism, check_bijection, check_periods,
                       syndrome_columns, syndrome_rank, syndrome_ranks,
                       torus_periods)
-from .constructions import Construction, Tile
+from .constructions import Construction, Tile, _ball_size
 from .lattice import (BoxSpec, Point, Shape, axis_columns, box_runs,
                       check_radius, check_torus, check_volume, is_box,
                       lee_distance, nearest_within, shifted_flats, unflatten)
@@ -84,10 +84,6 @@ class PDDSInstance:
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
 
-    @classmethod
-    def loads(cls, text: str) -> "PDDSInstance":
-        return cls.from_json(json.loads(text))
-
 
 @dataclass
 class Violation:
@@ -107,9 +103,6 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {"pass": self.passed,
                 "violations": [v.to_json() for v in self.violations]}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +164,7 @@ def instantiate_on_torus(construction: Construction,
     # coordinate column per axis, zipped into vertices, then into copies.
     columns = axis_columns(_kernel_elements(hom, dims), dims, (1,) * len(dims))
     placed = []
-    for comp in construction.tile.components():
+    for comp in construction.tile.components_by_id().values():
         copies = [zip(*[col(c) for col, c in zip(columns, v)]) for v in comp.vertices]
         placed.extend(map(tuple, map(sorted, zip(*copies))))
     placed.sort()
@@ -183,39 +176,17 @@ def instantiate_on_torus(construction: Construction,
 # Verification.
 # --------------------------------------------------------------------------
 
-def _box_violations(inst: PDDSInstance, class_of: list[int]) -> list[Violation]:
-    """component_not_box violations, in component order.
-
-    Members of one translation class (``class_of``, from
-    :func:`_translation_classes`) are the same vertex set moved on the
-    torus, so ``lattice.is_box`` runs once per class, on its first member;
-    every failing member still gets its own vertex and message.
-    """
-    want = tuple(sorted(inst.h_spec.extents))
-    details: list[Optional[str]] = []   # per class: the failure, or None
-    out = []
-    for cid, k in enumerate(class_of):
-        comp = inst.components[cid]
-        if k == len(details):           # classes are numbered by first member
-            spec = is_box(comp, inst.torus)
-            if spec is None:
-                details.append(f"({len(comp)} vertices) does not induce an "
-                               f"axis-aligned box on the torus")
-            elif tuple(sorted(spec.extents)) != want:
-                details.append(f"is a box of extents {spec.extents}, not an "
-                               f"axis permutation of {inst.h_spec.extents}")
-            else:
-                details.append(None)
-        if details[k] is not None:
-            out.append(Violation(comp.vertices[0], "component_not_box",
-                                 f"component {cid} {details[k]}"))
-    return out
-
-
 class _Classes(NamedTuple):
     keys: list[tuple[Point, ...]]
     anchors: list[list[Point]]
-    class_of: list[int]
+    members: list[list[int]]
+
+
+# The most cells one class map (``nearest_within`` of a key) may reach.  A
+# map and the offset ball it walks took 350-650 bytes and 2-5 us per cell
+# (one vertex reaching all of a ring or a square torus; 2-core host,
+# Python 3.11), so 2^19 cells is about 0.3 GB and 3 s.
+MAX_CLASS_CELLS = 1 << 19
 
 
 def _translation_classes(inst: PDDSInstance) -> _Classes:
@@ -225,15 +196,20 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
     however they wrap the seam.  Classes are numbered by first member:
     ``keys[k]`` is their canonical offsets (:func:`_canonical`),
     ``anchors[k]`` per member in order an a with key + a equal to it mod
-    the torus, ``class_of[cid]`` the class of component cid.  Raises
-    ValueError for a component whose dimension is not the torus's and for
-    a torus above ``MAX_VOLUME``: every verify path starts here.
+    the torus, ``members[k]`` the members' component ids, ascending.
+    Raises ValueError for a component whose dimension is not the torus's,
+    for a torus above ``MAX_VOLUME`` and for a class whose map could reach
+    more than ``MAX_CLASS_CELLS`` cells: every verify path starts here.
     """
     dims = inst.torus
     dim = len(dims)
     if any(comp.dim != dim for comp in inst.components):
         raise ValueError("component dimension differs from torus dimension")
     check_volume(dims)
+    # A class map holds a torus offset ball per key vertex, which fits in
+    # the Lee ball over the axes above 1 and in 2t + 1 residues per axis.
+    ball = min(_ball_size(sum(d > 1 for d in dims), inst.t),
+               prod(min(d, 2 * inst.t + 1) for d in dims))
     # Raw offsets from the first vertex w, flattened and unreduced, ->
     # (class, u) with anchor w + u (None for an anchor w): a translate that
     # wraps like one met before builds no tuple per vertex, and only a new
@@ -241,13 +217,17 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
     seen: dict[tuple[int, ...], tuple[int, Optional[Point]]] = {}
     classes: dict[tuple[Point, ...], int] = {}
     anchors: list[list[Point]] = []
-    class_of = []
-    for comp in inst.components:
+    members: list[list[int]] = []
+    for cid, comp in enumerate(inst.components):
         verts = comp.vertices
         w = verts[0] if verts else (0,) * dim
         raw = tuple(map(sub, chain.from_iterable(verts), cycle(w)))
         hit = seen.get(raw)
         if hit is None:
+            cells = min(inst.volume, len(verts) * ball)
+            if cells > MAX_CLASS_CELLS:
+                raise ValueError(f"component {cid} may reach {cells} torus cells, more "
+                                 f"than the verifier's limit of {MAX_CLASS_CELLS}")
             offsets = tuple(zip(*[map(mod, map(sub, map(itemgetter(i), verts),
                                               repeat(w[i])), repeat(d))
                                   for i, d in enumerate(dims)]))
@@ -256,10 +236,11 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
                                u if any(u) else None)
             if len(classes) > len(anchors):
                 anchors.append([])
+                members.append([])
         k, u = hit
         anchors[k].append(w if u is None else tuple(map(mod, map(add, w, u), dims)))
-        class_of.append(k)
-    return _Classes(list(classes), anchors, class_of)
+        members[k].append(cid)
+    return _Classes(list(classes), anchors, members)
 
 
 def _canonical(offsets: tuple[Point, ...], dims: Sequence[int]
@@ -287,6 +268,31 @@ def _canonical(offsets: tuple[Point, ...], dims: Sequence[int]
                 for u in cands or pts), default=((), (0,) * len(dims)))
 
 
+def _box_violations(inst: PDDSInstance, classes: _Classes) -> list[Violation]:
+    """component_not_box violations, in component order.
+
+    Members of one translation class are the same vertex set moved on the
+    torus, so ``lattice.is_box`` runs once per class, on its first member;
+    every member of a failing class still gets its own vertex and message.
+    """
+    want = tuple(sorted(inst.h_spec.extents))
+    failing: dict[int, str] = {}        # component id -> what is wrong
+    for ids in classes.members:
+        comp = inst.components[ids[0]]
+        spec = is_box(comp, inst.torus)
+        if spec is None:
+            detail = (f"({len(comp)} vertices) does not induce an "
+                      f"axis-aligned box on the torus")
+        elif tuple(sorted(spec.extents)) != want:
+            detail = (f"is a box of extents {spec.extents}, not an "
+                      f"axis permutation of {inst.h_spec.extents}")
+        else:
+            continue
+        failing.update(dict.fromkeys(ids, detail))
+    return [Violation(inst.components[cid].vertices[0], "component_not_box",
+                      f"component {cid} {failing[cid]}") for cid in sorted(failing)]
+
+
 def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
                                           dict[int, list[int]]]:
     """The service map: which components reach each torus vertex within t.
@@ -296,8 +302,8 @@ def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
     several components within distance t; at 1, ``comp_of[f]`` is that
     component and ``count_of[f]`` its number of nearest vertices (capped at
     255); at 2, ``multi[f]`` lists every such component in order.  Raises
-    ValueError for a component whose dimension is not the torus's and for a
-    torus of more than ``MAX_VOLUME`` vertices.
+    ValueError for a component whose dimension is not the torus's, a torus
+    above ``MAX_VOLUME`` or a class map above ``MAX_CLASS_CELLS``.
     """
     return _coverage(inst, _translation_classes(inst))
 
@@ -313,15 +319,11 @@ def _coverage(inst: PDDSInstance, classes: _Classes):
     """
     dims = inst.torus
     volume = inst.volume
-    members: list[list[int]] = [[] for _ in classes.keys]
-    for cid, k in enumerate(classes.class_of):
-        members[k].append(cid)
-
     cover = bytearray(volume)          # 0, 1, or 2 components saturating
     comp_of = [-1] * volume
     count_of = bytearray(volume)       # minimizer count within the covering component
     multi: dict[int, list[int]] = {}   # flat -> list of covering component ids
-    for key, anchors, ids in zip(classes.keys, classes.anchors, members):
+    for key, anchors, ids in zip(classes.keys, classes.anchors, classes.members):
         local = nearest_within(key, inst.t, dims)
         for flats, (_, cnt, _) in zip(shifted_flats(list(local), anchors, dims),
                                       local.values()):
@@ -430,7 +432,7 @@ def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True) -> VerificationR
     violations are found.  The components are grouped into translation
     classes once; the exact-cover pass, the expansion (run only when that
     pass fails) and the box check all read that grouping.
-    Raises ValueError for a torus of more than ``MAX_VOLUME`` vertices.
+    Raises ValueError past ``MAX_VOLUME`` or ``MAX_CLASS_CELLS``.
     """
     check_radius(inst.t)
     if not all(comp.vertices for comp in inst.components):
@@ -438,7 +440,7 @@ def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True) -> VerificationR
     classes = _translation_classes(inst)
     violations = [] if _exact_cover(inst, classes) else _verify_by_expansion(inst, classes)
     if strict_box:
-        violations.extend(_box_violations(inst, classes.class_of))
+        violations.extend(_box_violations(inst, classes))
     violations.sort(key=lambda v: (v.vertex, v.kind))
     return VerificationReport(not violations, violations)
 

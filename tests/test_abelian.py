@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 import tracemalloc
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,22 +20,29 @@ from pdds.abelian import (
     torus_periods,
 )
 from pdds.constructions import pdds1_q3
+from pdds.lattice import MAX_VOLUME, strides, unflatten
 
 from group_oracle import phi_eval, scale
 
 
+def _rank(group, a):
+    """Mixed-radix rank of a group element: its residues dotted with the
+    row-major strides of the moduli."""
+    return sum(map(mul, a, strides(group.moduli)))
+
+
 def test_group_arithmetic_exhaustive_z2xz4():
     g = AbelianGroup((2, 4))
-    assert g.order == 8 and g.rank == 2
+    assert g.order == 8
     els = list(g.elements())
     assert len(els) == 8 and len(set(els)) == 8
     for a in els:
         assert g.add(a, g.neg(a)) == g.identity()
-        assert g.element_from_rank(g.element_rank(a)) == a
+        assert unflatten(_rank(g, a), g.moduli) == a
         for b in els:
             assert g.add(a, b) == g.add(b, a)
     # ranks enumerate 0..7 in the same order as elements()
-    assert [g.element_rank(a) for a in els] == list(range(8))
+    assert [_rank(g, a) for a in els] == list(range(8))
 
 
 @pytest.mark.parametrize("moduli", [(5.7,), (5.0,), (True,), (3, "4")])
@@ -90,6 +99,19 @@ def test_enumerate_abelian_groups():
         assert g.order == 72
 
 
+def test_enumerate_abelian_groups_up_to_the_volume_cap_at_once():
+    # the 1,575 partitions of the exponent 24 took 5.6 s unmemoised; no
+    # verifiable tile has a group above MAX_VOLUME
+    started = time.perf_counter()
+    groups = enumerate_abelian_groups(MAX_VOLUME)
+    assert time.perf_counter() - started < 1
+    assert len(groups) == 1575
+    assert groups[0].moduli == (MAX_VOLUME,) and groups[-1].moduli == (2,) * 24
+    for m in (0, MAX_VOLUME + 1):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_VOLUME}"):
+            enumerate_abelian_groups(m)
+
+
 def test_homomorphism_eval_and_kernel():
     g = AbelianGroup((13,))
     hom = Homomorphism(g, ((1,), (5,)))
@@ -109,7 +131,7 @@ def test_syndrome_rank_is_the_rank_of_phi():
         columns = syndrome_columns(hom)
         for _ in range(5):
             x = tuple(rng.randint(-50, 50) for _ in range(n))
-            assert syndrome_rank(columns, x) == group.element_rank(phi_eval(hom, x))
+            assert syndrome_rank(columns, x) == _rank(group, phi_eval(hom, x))
         dims = tuple(rng.randint(1, 5) for _ in range(n))
         assert syndrome_ranks(columns, dims) == [
             syndrome_rank(columns, v) for v in itertools.product(*map(range, dims))]

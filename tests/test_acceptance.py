@@ -236,7 +236,7 @@ def test_criterion_04_lattice_likeness():
     assert inst.torus == (8, 8)
     assert not is_lattice_like(inst)
     extents = {is_box(comp).extents
-               for comp in nonlattice_p2_example().tile.components()}
+               for comp in nonlattice_p2_example().tile.components_by_id().values()}
     assert (2, 1) in extents and (1, 2) in extents
 
 

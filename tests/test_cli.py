@@ -36,6 +36,27 @@ def test_groups_order_nine(capsys):
     assert payload["groups"] == [[9], [3, 3]]
 
 
+def test_groups_rejects_an_order_above_the_volume_cap_at_once(capsys):
+    # trial division of this prime ran past a 10 s timeout; no tile the
+    # verifier accepts has a group above MAX_VOLUME
+    started = time.perf_counter()
+    code, out, err = invoke(capsys, "groups", "--order", "1000000000000000003")
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("pdds groups:") and "between 1 and 16777216" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "decode", "render"])
+def test_deeply_nested_json_exits_one_without_traceback(capsys, tmp_path, command):
+    # 200,000 nested arrays escaped cli.run as a RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    extra = ["--vertex", "0"] if command == "decode" else []
+    code, out, err = invoke(capsys, command, str(path), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"pdds {command}:") and "nests too deeply" in err
+
+
 def test_construct_and_verify_round_trip(capsys, tmp_path):
     path = tmp_path / "q3.json"
     code, out, _ = invoke(capsys, "construct", "--family", "q3",
@@ -380,6 +401,19 @@ def test_decode_of_a_huge_group_order_exits_one_and_stays_small(capsys, tmp_path
     assert code == 1 and out == ""
     assert err.startswith("pdds decode:") and "group of order" in err
     assert peak < 4 * 2**20
+
+
+def test_verify_of_one_vertex_reaching_a_whole_ring_exits_one_and_stays_small(
+        capsys, tmp_path):
+    # 81 bytes: at 2^18 vertices verify took 1.3 s and 160 MB, and this
+    # ring of 2^24 passes the volume check
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"torus": [2**24], "t": 2**23, "h": {"extents": [1]},
+                                "components": [[[0]]]}))
+    (code, out, err), peak = _traced(lambda: invoke(capsys, "verify", str(path)))
+    assert code == 1 and out == ""
+    assert err.startswith("pdds verify:") and "limit" in err
+    assert peak < 64 * 2**20
 
 
 def test_render_of_an_instance_over_the_volume_cap_exits_one(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import time
 
@@ -65,7 +66,7 @@ def test_path2d_two_copy_pin():
     assert c.hom.group.moduli == (46,)
     assert c.hom.generators == ((9,), (1,))
     assert not c.lattice_like
-    comps = c.tile.components()
+    comps = list(c.tile.components_by_id().values())
     assert len(comps) == 2
     # the second copy sits at offset (t, t+k) from the first
     assert comps[1].vertices[0] == tuple(
@@ -79,7 +80,7 @@ def test_path2d_single_copy_resolved_generators():
             assert c.hom.group.moduli == (2 * t * t + 2 * t * k + k,)
             assert c.hom.generators == ((1,), (2 * t + 1,)), (t, k)
             assert c.lattice_like
-            assert len(c.tile.components()) == 1
+            assert len(c.tile.components_by_id()) == 1
 
 
 def test_box2xk_two_copy_pin():
@@ -87,7 +88,7 @@ def test_box2xk_two_copy_pin():
     assert c.hom.group.moduli == (6, 6)
     assert c.hom.generators == ((0, 1), (1, 0))
     assert not c.lattice_like
-    assert len(c.tile.components()) == 2
+    assert len(c.tile.components_by_id()) == 2
 
 
 def test_box2xk_single_copy_resolved_generators():
@@ -173,7 +174,7 @@ def test_minkowski_pins():
 def test_nonlattice_example_structure():
     c = nonlattice_p2_example()
     assert not c.lattice_like
-    comps = c.tile.components()
+    comps = list(c.tile.components_by_id().values())
     assert len(comps) == 4
     extents = sorted(is_box(comp).extents for comp in comps)
     assert extents == [(1, 2), (1, 2), (2, 1), (2, 1)]
@@ -186,7 +187,7 @@ def test_tile_labels_cover_shape_with_valid_devices():
               pdds_t_box2xk_2d(1, 2, "single_copy"), nonlattice_p2_example()):
         tile = c.tile
         assert set(tile.labels) == set(tile.shape)
-        comps = tile.components()
+        comps = list(tile.components_by_id().values())
         for v, (cid, device) in tile.labels.items():
             assert 0 <= cid < len(comps)
             assert device in comps[cid].vertices
@@ -213,7 +214,7 @@ def test_tile_contains_origin_and_units():
             e = tuple(1 if j == i else 0 for j in range(n))
             assert e in c.tile.shape, (name, e)
         want = sorted(c.h_spec.extents)
-        for comp in c.tile.components():
+        for comp in c.tile.components_by_id().values():
             spec = is_box(comp)
             assert spec is not None and sorted(spec.extents) == want, (name, comp)
 
@@ -222,7 +223,7 @@ def test_construction_json_round_trip():
     for c in (plc_n1(2), pdds_t_path_2d(2, 3, "two_copy"),
               pdds_t_box2xk_2d(3, 3, "single_copy"), pdds1_q3(),
               nonlattice_p2_example()):
-        again = Construction.loads(c.dumps())
+        again = Construction.from_json(json.loads(c.dumps()))
         assert again.t == c.t
         assert again.h_spec == c.h_spec
         assert again.hom == c.hom
@@ -276,7 +277,7 @@ def test_lattice_like_is_derived_from_the_tile():
 def test_construction_json_accepts_every_catalog_tile():
     assert len(CATALOG) == 100
     for name, c in CATALOG:
-        assert Construction.loads(c.dumps()).tile.labels == c.tile.labels, name
+        assert Construction.from_json(json.loads(c.dumps())).tile.labels == c.tile.labels, name
 
 
 def _relabel(blob, v, device):

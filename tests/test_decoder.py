@@ -258,7 +258,7 @@ def straddle_points(construction, brute, dims):
     breadth-first walk over the group.
     """
     out = []
-    for comp in construction.tile.components():
+    for comp in construction.tile.components_by_id().values():
         members = set(comp.vertices)
         for a in comp.vertices:
             for i, d in enumerate(dims):

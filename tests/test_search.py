@@ -414,7 +414,7 @@ def test_search_result_json_round_trip(data):
     extents = tuple(data.draw(st.integers(1, 2)) for _ in range(n))
     result = exact_cover_search(
         SearchProblem(dims, data.draw(st.integers(0, 2)), BoxSpec(extents)))
-    blob = json.loads(result.dumps())
+    blob = json.loads(json.dumps(result.to_json(), indent=2))
     assert blob == result.to_json()
     assert (blob["outcome"], blob["nodes_explored"], blob["wall_time_ms"]) == (
         result.outcome, result.nodes_explored, result.wall_time_ms)
@@ -422,3 +422,17 @@ def test_search_result_json_round_trip(data):
         assert blob["instance"] is None
     else:
         assert PDDSInstance.from_json(blob["instance"]) == result.instance
+
+
+def test_allowed_orientations_are_the_boxes_on_the_torus():
+    # lattice.is_box keeps an extent below its axis, or 1 on an axis of
+    # length 1; at t = 0 no neighbourhood drops an orientation
+    for n in (1, 2, 3):
+        for dims in itertools.product(range(1, 5), repeat=n):
+            for extents in itertools.product(range(1, 6), repeat=n):
+                problem = SearchProblem(dims, 0, BoxSpec(extents))
+                want = {exts for exts in itertools.permutations(extents)
+                        if all(e < d or e == d == 1 for e, d in zip(exts, dims))}
+                assert set(_allowed_orientations(problem)) == want, problem
+    # a box larger than the torus is dropped without being built
+    assert _allowed_orientations(SearchProblem((3, 3), 1, BoxSpec((10**9, 1)))) == {}

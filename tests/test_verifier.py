@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -23,8 +24,10 @@ from pdds.constructions import (
     pdds_t_path_2d,
     plc_n1,
 )
+from pdds import verifier
 from pdds.lattice import (MAX_VOLUME, BoxSpec, Shape, _offset_ball, box_shape,
-                          check_radius, is_box, lee_distance, strides, translate)
+                          check_radius, is_box, lee_distance, nearest_within,
+                          strides, translate)
 from pdds.verifier import (
     PDDSInstance,
     VerificationReport,
@@ -108,7 +111,7 @@ def _verify_by_scan(inst, *, strict_box=True):
                     x, "ambiguous_nearest",
                     f"{count} nearest vertices in component {cid} at distance {d}"))
     if strict_box:
-        violations.extend(_box_violations(inst, classes.class_of))
+        violations.extend(_box_violations(inst, classes))
     violations.sort(key=lambda v: (v.vertex, v.kind))
     return VerificationReport(not violations, violations)
 
@@ -288,9 +291,9 @@ def test_component_wrapping_whole_axis_is_not_a_box():
 
 def test_component_repeating_a_torus_vertex_is_not_a_box():
     # (4, 0) is (0, 0) on the torus: four vertices with 2x2 runs, three cells
-    inst = PDDSInstance.loads(
+    inst = PDDSInstance.from_json(json.loads(
         '{"torus": [4, 6], "t": 0, "h": {"extents": [2, 2]},'
-        ' "components": [[[0, 0], [4, 0], [1, 1], [0, 1]]]}')
+        ' "components": [[[0, 0], [4, 0], [1, 1], [0, 1]]]}'))
     report = verify_pdds(inst)
     at_corner = {v.kind: v.detail for v in report.violations if v.vertex == (0, 0)}
     assert at_corner.keys() == {"ambiguous_nearest", "component_not_box"}
@@ -299,7 +302,7 @@ def test_component_repeating_a_torus_vertex_is_not_a_box():
 
 def test_instance_json_round_trip_and_component_order():
     inst = instantiate_on_torus(pdds1_square(0))
-    again = PDDSInstance.loads(inst.dumps())
+    again = PDDSInstance.from_json(json.loads(inst.dumps()))
     assert again.torus == inst.torus
     assert again.t == inst.t
     assert again.h_spec == inst.h_spec
@@ -536,7 +539,7 @@ def test_translation_classes_of_large_boxes_stay_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert classes.class_of == [0, 0, 0, 1, 1]
+    assert classes.members == [[0, 1, 2], [3, 4]]
     assert peak < 16 * 2**20
     # A band around a whole axis is its own translate along it: its
     # candidate vertices are cut to one there, not every vertex tried.
@@ -544,7 +547,7 @@ def test_translation_classes_of_large_boxes_stay_linear():
     bands = [translate(band, (5, a), dims) for a in (0, 32, 64, 96)]
     started = time.perf_counter()
     classes = _translation_classes(PDDSInstance(dims, 0, BoxSpec((128, 32)), bands))
-    assert classes.class_of == [0, 0, 0, 0]
+    assert classes.members == [[0, 1, 2, 3]]
     assert time.perf_counter() - started < 2
     assert verify_pdds(PDDSInstance(dims, 0, BoxSpec((64, 64)),
                                     tiling[:3] + [translate(box, (96, 32), dims)])).passed
@@ -552,21 +555,28 @@ def test_translation_classes_of_large_boxes_stay_linear():
 
 def _assert_exact_classes(inst):
     """The classes are the brute-force translation classes, numbered in
-    order of first member, and each key plus anchor is its member."""
+    order of first member, their members ascending, and each key plus
+    anchor is its member."""
     dims = inst.torus
     classes = _translation_classes(inst)
+    # the members partition the component ids, each class ascending
+    class_of = {cid: k for k, ids in enumerate(classes.members) for cid in ids}
+    assert sorted(class_of) == list(range(len(inst.components)))
+    assert sum(map(len, classes.members)) == len(inst.components)
+    assert all(ids == sorted(ids) for ids in classes.members)
+    class_of = [class_of[cid] for cid in range(len(inst.components))]
     sigs = [_class_signature(comp, dims) for comp in inst.components]
     # one class per translation class, numbered in order of first member
-    assert len({*zip(classes.class_of, sigs)}) == len(set(sigs)) == len(classes.keys)
-    assert list(dict.fromkeys(classes.class_of)) == list(range(len(classes.keys)))
+    assert len({*zip(class_of, sigs)}) == len(set(sigs)) == len(classes.keys)
+    assert list(dict.fromkeys(class_of)) == list(range(len(classes.keys)))
     # each key shifted by the member's anchor is the member, mod the torus
-    members = [iter(a) for a in classes.anchors]
-    for comp, k in zip(inst.components, classes.class_of):
-        a = next(members[k])
-        assert sorted(tuple((o + c) % d for o, c, d in zip(off, a, dims))
-                      for off in classes.keys[k]) == \
-            sorted(tuple(c % d for c, d in zip(v, dims)) for v in comp.vertices)
-    assert all(next(m, None) is None for m in members)
+    for key, anchors, ids in zip(classes.keys, classes.anchors, classes.members):
+        assert len(anchors) == len(ids)
+        for a, cid in zip(anchors, ids):
+            assert sorted(tuple((o + c) % d for o, c, d in zip(off, a, dims))
+                          for off in key) == \
+                sorted(tuple(c % d for c, d in zip(v, dims))
+                       for v in inst.components[cid].vertices)
 
 
 def test_verify_pdds_rejects_malformed_instances():
@@ -729,7 +739,7 @@ def test_one_vertex_with_a_half_torus_radius_stays_small():
 @settings(max_examples=100, deadline=None)
 @given(small_instances())
 def test_instance_json_round_trip(inst):
-    assert PDDSInstance.loads(inst.dumps()) == inst
+    assert PDDSInstance.from_json(json.loads(inst.dumps())) == inst
 
 
 def _box_extents_by_brute_force(verts, dims):
@@ -919,8 +929,10 @@ def _box_violations_by_component(inst):
 @_coverage_examples
 @example(_instance((5, 5), 1, [(0, 0), (1, 1)], [(0, 1)], [(2, 0), (3, 1)],
                    [(6, 2), (7, 3)]))                                  # non-box class of 3
+# components 1 and 2 both start at (1, 1), but class 0 holds 0 and 2
+@example(_instance((5, 5), 1, [(0, 0), (2, 2)], [(1, 1), (2, 2)], [(1, 1), (3, 3)]))
 def test_box_check_per_class_matches_per_component_reference(inst):
-    got = _box_violations(inst, _translation_classes(inst).class_of)
+    got = _box_violations(inst, _translation_classes(inst))
     assert got == _box_violations_by_component(inst)
 
 
@@ -928,7 +940,7 @@ def _instantiate_by_frozenset(con, dims):
     """Reference: every kernel translate of every component, deduplicated."""
     placed = set()
     for z in _kernel_elements(con.hom, dims):
-        for comp in con.tile.components():
+        for comp in con.tile.components_by_id().values():
             placed.add(frozenset(
                 tuple((a + b) % d for a, b, d in zip(v, z, dims)) for v in comp.vertices))
     return sorted((Shape.of(c, dim=len(dims)) for c in placed), key=lambda s: s.vertices)
@@ -1059,3 +1071,41 @@ def test_oversized_torus_is_rejected_before_allocating():
                  lambda: instantiate_on_torus(c, huge)):
         with pytest.raises(ValueError, match="more than the verifier's limit"):
             call()
+
+
+@st.composite
+def ball_instances(draw):
+    """One or two components on tori of up to four axes, where the Lee
+    ball over the axes above 1 is smaller than 2t + 1 residues per axis."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    vertex = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    comps = [Shape.of(draw(st.lists(vertex, min_size=1, max_size=3)))
+             for _ in range(draw(st.integers(1, 2)))]
+    return PDDSInstance(dims, draw(st.integers(0, 4)), BoxSpec((1,) * len(dims)), comps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_instances(), translate_instances(), ball_instances()))
+def test_class_cell_bound_is_at_least_every_class_map(inst):
+    # With the cap one below the largest class map, the bound checked
+    # before any map is built must refuse the instance.
+    largest = max(len(nearest_within(key, inst.t, inst.torus))
+                  for key in _translation_classes(inst).keys)
+    saved = verifier.MAX_CLASS_CELLS
+    verifier.MAX_CLASS_CELLS = largest - 1
+    try:
+        with pytest.raises(ValueError, match="more than the verifier's limit"):
+            _translation_classes(inst)
+    finally:
+        verifier.MAX_CLASS_CELLS = saved
+
+
+def test_class_cell_cap_refuses_every_verify_path(monkeypatch):
+    # One vertex on a ring reaches min(d, 2t + 1) cells within t.
+    monkeypatch.setattr(verifier, "MAX_CLASS_CELLS", 512)
+    one = [Shape.of([(0,)])]
+    assert verify_pdds(PDDSInstance((512,), 256, BoxSpec((1,)), one)).passed
+    inst = PDDSInstance((1024,), 256, BoxSpec((1,)), one)
+    for call in (verify_pdds, coverage, is_lattice_like, _verify_by_scan):
+        with pytest.raises(ValueError, match="may reach 513 torus cells"):
+            call(inst)
