@@ -54,7 +54,6 @@ from .verifier import (
     VerificationReport,
     Violation,
     instantiate_on_torus,
-    is_lattice_like,
     verify_partition,
     verify_pdds,
 )
@@ -73,5 +72,5 @@ __all__ = [
     "Placement", "SearchProblem", "SearchResult", "enumerate_placements",
     "exact_cover_search",
     "PDDSInstance", "VerificationReport", "Violation", "instantiate_on_torus",
-    "is_lattice_like", "verify_partition", "verify_pdds",
+    "verify_partition", "verify_pdds",
 ]

@@ -25,10 +25,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb, gcd
+from operator import add, sub
 from typing import Callable, Optional, Sequence
 
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
-                      check_bijection, molnar_k_set)
+                      check_bijection, molnar_k_set, syndrome_columns,
+                      syndrome_rank)
 from .lattice import (BoxSpec, Point, Shape, box_shape, check_point,
                       check_radius, is_int, nearest_within, translate)
 
@@ -72,7 +74,9 @@ class Tile:
             cid = entry["component"]
             if not is_int(cid):
                 raise ValueError(f"component id must be an integer, got {cid!r}")
-            labels[check_point(entry["v"])] = (cid, check_point(entry["device"]))
+            if (v := check_point(entry["v"])) in labels:
+                raise ValueError(f"tile vertex {v} is labelled twice")
+            labels[v] = (cid, check_point(entry["device"]))
         if set(labels) != set(shape.vertices):
             raise ValueError("tile labels do not cover exactly the tile vertices")
         return cls(shape, labels)
@@ -89,15 +93,24 @@ class Construction:
 
     @property
     def lattice_like(self) -> bool:
-        """Is the tile a single component neighborhood (one H* copy)?
+        """Is the produced set a lattice of translates of one component?
 
-        Then the produced set is a lattice of translates of one component by
-        construction.  Multi-copy tiles give False even when the
-        instantiated set happens to admit a denser translation lattice; the
-        geometric question about a concrete instance is answered by the
-        verifier's ``is_lattice_like``.
+        Exactly when each tile component is the first moved by a shift s_c
+        and each phi(s_a + s_b) is some phi(s_c): the images then form a
+        subgroup, whose preimage {s_c} + ker phi is the anchor lattice.
+        On a period torus Z^n / L, L in the kernel, the anchors are that set
+        mod L, a subgroup exactly when the set is one.  C components cost C^2
+        ranks; builders make at most four.
         """
-        return len({cid for cid, _ in self.tile.labels.values()}) == 1
+        comps = [c.vertices for c in self.tile.components_by_id().values()]
+        shifts = [tuple(map(sub, c[0], comps[0][0])) for c in comps]
+        if not comps or any(tuple(tuple(map(sub, v, s)) for v in c) != comps[0]
+                            for c, s in zip(comps, shifts)):
+            return False
+        columns = syndrome_columns(self.hom)
+        ranks = {syndrome_rank(columns, s) for s in shifts}
+        return all(syndrome_rank(columns, tuple(map(add, a, b))) in ranks
+                   for a in shifts for b in shifts)
 
     def to_json(self) -> dict:
         return {
@@ -117,6 +130,8 @@ class Construction:
         t = check_radius(obj.get("t"))
         _check_labels(tile, t)
         hom = Homomorphism.from_json(obj["hom"])
+        if hom.dim != tile.shape.dim:
+            raise ValueError(f"homomorphism has {hom.dim} generators for {tile.shape.dim} axes")
         if hom.group.order != len(tile.shape):
             raise ValueError(f"group of order {hom.group.order} cannot be a bijective "
                              f"image of a tile of {len(tile.shape)} vertices")

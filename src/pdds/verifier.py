@@ -459,37 +459,3 @@ def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
     check_volume(check_periods(torus_periods(hom), inst.torus))
     return check_bijection(hom, tile.shape.vertices).ok
 
-
-def is_lattice_like(inst: PDDSInstance) -> bool:
-    """Is the instance a lattice of translates of a single component?
-
-    True when the components form one translation class
-    (:func:`_translation_classes`) and the anchors' offsets from the first
-    anchor, mod the torus, are closed under subtraction (i.e. form a
-    subgroup of the torus).  Intended for instances that already passed
-    verification.
-    """
-    dims = inst.torus
-    classes = _translation_classes(inst)
-    if len(classes.keys) != 1:
-        return not inst.components
-    anchors = classes.anchors[0]
-    offsets = {tuple(map(mod, map(sub, a, anchors[0]), dims)) for a in anchors}
-
-    # Subgroup test by incremental closure: grow the subgroup generated by
-    # the offsets, bailing out as soon as it leaves the offset set.
-    subgroup: set[Point] = {(0,) * len(dims)}
-    for z in sorted(offsets):
-        if z in subgroup:
-            continue
-        # Join <subgroup, z>: add cosets subgroup + k*z until they cycle.
-        current = list(subgroup)
-        shift = z
-        while shift not in subgroup:
-            for v in current:
-                w = tuple(map(mod, map(add, v, shift), dims))
-                if w not in offsets:
-                    return False
-                subgroup.add(w)
-            shift = tuple(map(mod, map(add, shift, z), dims))
-    return len(subgroup) == len(offsets)

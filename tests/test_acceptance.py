@@ -45,11 +45,11 @@ from pdds.lattice import (BoxSpec, Shape, _offset_ball, box_shape, is_box,
 from pdds.search import SearchProblem, exact_cover_search
 
 from group_oracle import phi_eval
+from lattice_oracle import lattice_like_by_shift_search
 from pdds.verifier import (
     _kernel_elements,
     _translation_classes,
     instantiate_on_torus,
-    is_lattice_like,
     verify_partition,
     verify_pdds,
 )
@@ -216,25 +216,27 @@ def test_criterion_03_neighborhood_size_formulas():
 
 
 def test_criterion_04_lattice_likeness():
-    # Every entry but nonlattice is a lattice of translates of one component
-    # on its period torus, the two-copy tiles included, and so is exactly
-    # one translation class, however its translates wrap the seam.
+    # Every entry but nonlattice is a lattice of translates of one component,
+    # the two-copy tiles included: decided from the tile for all 100 entries.
+    # On each period torus under the cap the instance oracle agrees, and so
+    # does "exactly one translation class", however translates wrap the seam.
     skipped = []
-    checked = 0
+    compared = 0
     for name, con in CATALOG:
+        assert con.lattice_like == (name != "nonlattice"), name
         if period_volume(con) > VERIFY_CAP:
             skipped.append(name)
             continue
         inst = period_instance(name)
-        lattice = is_lattice_like(inst)
-        assert lattice == (name != "nonlattice"), name
-        assert (len(_translation_classes(inst).keys) == 1) == lattice, name
-        checked += 1
-    report_skips("criterion 4", skipped)
-    assert checked >= 90 and checked + len(skipped) == 100
-    inst = instantiate_on_torus(nonlattice_p2_example())
+        assert lattice_like_by_shift_search(inst) == con.lattice_like, name
+        assert (len(_translation_classes(inst).keys) == 1) == con.lattice_like, name
+        compared += 1
+    warnings.warn(f"criterion 4: {len(CATALOG)} entries decided from the tile, "
+                  f"{compared} compared with the instance oracle on their period "
+                  f"tori, {len(skipped)} skipped over the cap: {', '.join(skipped)}")
+    assert len(CATALOG) == 100 and compared >= 90
+    inst = period_instance("nonlattice")
     assert inst.torus == (8, 8)
-    assert not is_lattice_like(inst)
     extents = {is_box(comp).extents
                for comp in nonlattice_p2_example().tile.components_by_id().values()}
     assert (2, 1) in extents and (1, 2) in extents

