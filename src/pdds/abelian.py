@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, count, product
+from itertools import count, product, zip_longest
 from math import gcd, lcm, prod
 from operator import mod, mul
 from typing import Iterator, Optional, Sequence
@@ -35,9 +35,8 @@ GroupElement = tuple[int, ...]
 class AbelianGroup:
     """Product of cyclic groups given by positive moduli.
 
-    Moduli of 1 are legal (trivial factors) but are dropped by
-    :meth:`canonical`, which rewrites the group in invariant-factor form
-    ``d_1 | d_2 | ... | d_r``.
+    Moduli of 1 are legal (trivial factors).  :func:`enumerate_abelian_groups`
+    builds its groups in invariant-factor form ``d_1 | d_2 | ... | d_r``.
     """
 
     moduli: tuple[int, ...]
@@ -61,9 +60,6 @@ class AbelianGroup:
             raise ValueError(f"residues must be integers, got {tuple(a)!r}")
         return tuple(x % m for x, m in zip(a, self.moduli))
 
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
     def neg(self, a: GroupElement) -> GroupElement:
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
@@ -73,25 +69,6 @@ class AbelianGroup:
 
     def element_order(self, a: GroupElement) -> int:
         return lcm(1, *(m // gcd(x, m) for x, m in zip(a, self.moduli)))
-
-    def canonical(self) -> "AbelianGroup":
-        """Isomorphic group in invariant-factor form d_1 | d_2 | ... .
-
-        >>> AbelianGroup((4, 6)).canonical()
-        AbelianGroup(moduli=(2, 12))
-        """
-        powers: dict[int, list[int]] = {}
-        for m in self.moduli:
-            for p, e in _factorize(m).items():
-                powers.setdefault(p, []).append(e)
-        for exps in powers.values():
-            exps.sort(reverse=True)
-        depth = max((len(v) for v in powers.values()), default=0)
-        factors = []
-        for j in range(depth):
-            d = prod(p ** exps[j] for p, exps in powers.items() if j < len(exps))
-            factors.append(d)
-        return AbelianGroup(tuple(reversed(factors)))
 
     def __str__(self) -> str:
         if not self.moduli:
@@ -334,21 +311,20 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
 def enumerate_abelian_groups(m: int) -> list[AbelianGroup]:
     """All isomorphism classes of abelian groups of order m <= MAX_VOLUME.
 
-    One group per class, in canonical form and in a deterministic order
-    with the cyclic group first: per prime p^a dividing m the partitions
-    of a are taken largest-part-first, and classes are combined across
-    primes in product order.
+    One group per class, in invariant-factor form and in a deterministic
+    order with the cyclic group first: per prime p^a dividing m the
+    partitions of a are taken largest-part-first, and classes are combined
+    across primes in product order.  The j-th largest prime powers across
+    the primes multiply to the j-th largest invariant factor.
 
     >>> [g.moduli for g in enumerate_abelian_groups(9)]
     [(9,), (3, 3)]
+    >>> [g.moduli for g in enumerate_abelian_groups(12)]
+    [(12,), (2, 6)]
     """
     if not 1 <= m <= MAX_VOLUME:
         raise ValueError(f"order must be between 1 and {MAX_VOLUME}, got {m}")
-    if m == 1:
-        return [AbelianGroup(())]
-    factors = _factorize(m)
-    primes = sorted(factors)
-    per_prime = [[tuple(p ** e for e in part) for part in _partitions(factors[p])]
-                 for p in primes]
-    return [AbelianGroup(tuple(chain.from_iterable(choice))).canonical()
+    per_prime = [[tuple(p ** e for e in part) for part in _partitions(a)]
+                 for p, a in sorted(_factorize(m).items())]
+    return [AbelianGroup(tuple(map(prod, zip_longest(*choice, fillvalue=1)))[::-1])
             for choice in product(*per_prime)]

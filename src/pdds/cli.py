@@ -36,12 +36,9 @@ class _UsageError(Exception):
 
 def _ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise _UsageError(f"{what} must be comma-separated integers, got {text!r}")
-    if not parts:
-        raise _UsageError(f"{what} must be nonempty")
-    return parts
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:

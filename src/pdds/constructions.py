@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import gcd
 from operator import add, sub
 from typing import Callable, Optional, Sequence
 
 from .abelian import (AbelianGroup, GroupElement, Homomorphism,
                       check_bijection, molnar_k_set, syndrome_columns,
                       syndrome_rank)
-from .lattice import (BoxSpec, Point, Shape, box_shape, check_point,
+from .lattice import (BoxSpec, Point, Shape, ball_size, box_shape, check_point,
                       check_radius, is_int, nearest_within, translate)
 
 
@@ -162,7 +162,7 @@ def _check_labels(tile: Tile, t: int) -> None:
         if dev == u:
             comps.setdefault(cid, []).append(u)
     n = tile.shape.dim
-    if _ball_size(n, t) > len(labels):
+    if ball_size(n, t) > len(labels):
         raise ValueError(f"t = {t} is too large: a Lee ball of radius {t} in Z^{n} "
                          f"has more vertices than the tile's {len(labels)}")
     derived = _tile_labels(comps, t)
@@ -175,12 +175,6 @@ def _check_labels(tile: Tile, t: int) -> None:
         cid, dev = labels[u]
         raise ValueError(f"tile label of {u} names device {dev}, which is not the "
                          f"unique nearest vertex of component {cid} within distance {t}")
-
-
-def _ball_size(dim: int, t: int) -> int:
-    """Vertices of Z^dim within Lee distance t of a point: choose the k
-    nonzero axes, their signs, and k positive parts summing to at most t."""
-    return sum(2 ** k * comb(dim, k) * comb(t, k) for k in range(min(dim, t) + 1))
 
 
 def _tile_labels(components: dict[int, Sequence[Point]],

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
 from itertools import repeat
-from math import prod
+from math import comb, prod
 from operator import add, itemgetter, mod, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -226,10 +226,6 @@ class BoxSpec:
     def dim(self) -> int:
         return len(self.extents)
 
-    @property
-    def volume(self) -> int:
-        return prod(self.extents)
-
     def to_json(self) -> dict:
         return {"extents": list(self.extents)}
 
@@ -291,6 +287,16 @@ def translate(shape: Shape, z: Sequence[int],
     if dims is not None:
         moved = (tuple(map(mod, v, dims)) for v in moved)
     return Shape.of(moved, dim=shape.dim)
+
+
+def ball_size(dim: int, t: int) -> int:
+    """Vertices of Z^dim within Lee distance t of a point: choose the k
+    nonzero axes, their signs, and k positive parts summing to at most t.
+
+    >>> ball_size(2, 2)
+    13
+    """
+    return sum(2 ** k * comb(dim, k) * comb(t, k) for k in range(min(dim, t) + 1))
 
 
 @lru_cache(maxsize=64)

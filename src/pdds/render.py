@@ -14,8 +14,7 @@ from typing import Optional, Union
 from .abelian import syndrome_columns, syndrome_ranks
 from .constructions import Construction
 from .lattice import TorusDims, check_volume, shifted_flats
-from .verifier import (PDDSInstance, coverage, flats_not_one,
-                       instantiate_on_torus)
+from .verifier import PDDSInstance, coverage, instantiate_on_torus
 
 FORMATS = ("ascii", "svg")
 LABEL_MODES = ("group_elements", "component_ids", "devices")
@@ -94,13 +93,12 @@ def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
         # device vertices (set members) are starred, contested vertices
         # show "?", unserved vertices stay blank.  Members are always
         # claimed (at distance 0), so only contested cells override a star.
-        cover, comp_of, _, _ = coverage(inst)
+        comp_of, _, multi = coverage(inst)
         labels = [comp_names[ci] for ci in comp_of]     # comp_of is -1 if unserved
         for f in set(members):
             labels[f] += "*"
-        for f in flats_not_one(cover):
-            if cover[f] == 2:
-                labels[f] = "?"
+        for f in multi:
+            labels[f] = "?"
     return dims, labels, fills
 
 

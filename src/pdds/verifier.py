@@ -39,8 +39,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .abelian import (Homomorphism, check_bijection, check_periods,
                       syndrome_columns, syndrome_rank, syndrome_ranks,
                       torus_periods)
-from .constructions import Construction, Tile, _ball_size
-from .lattice import (BoxSpec, Point, Shape, axis_columns, box_runs,
+from .constructions import Construction, Tile
+from .lattice import (BoxSpec, Point, Shape, axis_columns, ball_size,
                       check_radius, check_torus, check_volume, is_box,
                       lee_distance, nearest_within, shifted_flats, unflatten)
 
@@ -208,7 +208,7 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
     check_volume(dims)
     # A class map holds a torus offset ball per key vertex, which fits in
     # the Lee ball over the axes above 1 and in 2t + 1 residues per axis.
-    ball = min(_ball_size(sum(d > 1 for d in dims), inst.t),
+    ball = min(ball_size(sum(d > 1 for d in dims), inst.t),
                prod(min(d, 2 * inst.t + 1) for d in dims))
     # Raw offsets from the first vertex w, flattened and unreduced, ->
     # (class, u) with anchor w + u (None for an anchor w): a translate that
@@ -249,15 +249,9 @@ def _canonical(offsets: tuple[Point, ...], dims: Sequence[int]
     the torus, the same for every translate of the set.  u starts a run on
     each axis (its predecessor there is absent; on an axis along which the
     set is invariant, it has coordinate 0) or, if no vertex does, is any
-    vertex; ``canon`` is the least over these.
-
-    A box (:func:`lattice.box_runs`) has one such u, its corner; its canon
-    is then the box at the origin.  Any other shape takes the scan over all
-    vertices.
+    vertex; ``canon`` is the least over these.  A box has one such u, its
+    corner, so its class costs one sort.
     """
-    runs = box_runs(offsets, dims)
-    if runs is not None:
-        return tuple(_cartesian(*map(range, runs[1]))), runs[0]
     cands = pts = set(offsets)
     for i, d in enumerate(dims):
         def has_pred(p):
@@ -293,15 +287,14 @@ def _box_violations(inst: PDDSInstance, classes: _Classes) -> list[Violation]:
                       f"component {cid} {failing[cid]}") for cid in sorted(failing)]
 
 
-def coverage(inst: PDDSInstance) -> tuple[bytearray, list[int], bytearray,
-                                          dict[int, list[int]]]:
+def coverage(inst: PDDSInstance) -> tuple[list[int], bytearray, dict[int, list[int]]]:
     """The service map: which components reach each torus vertex within t.
 
-    Returns ``(cover, comp_of, count_of, multi)``, indexed by row-major flat
-    index (``lattice.strides``).  ``cover[f]`` is 0, 1 or 2 for no, one or
-    several components within distance t; at 1, ``comp_of[f]`` is that
-    component and ``count_of[f]`` its number of nearest vertices (capped at
-    255); at 2, ``multi[f]`` lists every such component in order.  Raises
+    Returns ``(comp_of, count_of, multi)``, indexed by row-major flat index
+    (``lattice.strides``).  ``comp_of[f]`` is the least component within
+    distance t (-1 for none) and ``count_of[f]`` its number of nearest
+    vertices (capped at 255; 0 for none); ``multi[f]`` lists, in order,
+    every component within t of a vertex that several reach.  Raises
     ValueError for a component whose dimension is not the torus's, a torus
     above ``MAX_VOLUME`` or a class map above ``MAX_CLASS_CELLS``.
     """
@@ -315,13 +308,13 @@ def _coverage(inst: PDDSInstance, classes: _Classes):
     members' anchors at once, serves the whole class.  Classes are written
     in turn, so a cell's owner is the least component id reaching it and
     its ``multi`` list is sorted at the end: the arrays a plain
-    per-component loop in component order would give.
+    per-component loop in component order would give.  Two arrays are
+    written per cell; a cell's cover (none, one or several components) is
+    read off ``comp_of`` and ``multi``.
     """
     dims = inst.torus
-    volume = inst.volume
-    cover = bytearray(volume)          # 0, 1, or 2 components saturating
-    comp_of = [-1] * volume
-    count_of = bytearray(volume)       # minimizer count within the covering component
+    comp_of = [-1] * inst.volume
+    count_of = bytearray(inst.volume)  # minimizer count within the covering component
     multi: dict[int, list[int]] = {}   # flat -> list of covering component ids
     for key, anchors, ids in zip(classes.keys, classes.anchors, classes.members):
         local = nearest_within(key, inst.t, dims)
@@ -329,21 +322,21 @@ def _coverage(inst: PDDSInstance, classes: _Classes):
                                       local.values()):
             cnt = min(cnt, 255)
             for flat, cid in zip(flats, ids):
-                if cover[flat] == 0:
-                    cover[flat] = 1
+                owner = comp_of[flat]
+                if owner < 0:
                     comp_of[flat] = cid
                     count_of[flat] = cnt
                     continue
-                if cover[flat] == 1:
-                    multi[flat] = [comp_of[flat]]
-                    cover[flat] = 2
-                multi[flat].append(cid)
-                if cid < comp_of[flat]:
+                if flat in multi:
+                    multi[flat].append(cid)
+                else:
+                    multi[flat] = [owner, cid]
+                if cid < owner:
                     comp_of[flat] = cid
                     count_of[flat] = cnt
     for ids in multi.values():
         ids.sort()
-    return cover, comp_of, count_of, multi
+    return comp_of, count_of, multi
 
 
 def _exact_cover(inst: PDDSInstance, classes: _Classes) -> bool:
@@ -396,18 +389,22 @@ def _verify_by_expansion(inst: PDDSInstance, classes: _Classes) -> list[Violatio
     """Read the violations off the :func:`coverage` arrays.
 
     Only the cells that are not covered once with one nearest vertex are
-    visited: those where ``cover`` or ``count_of`` is not 1.
+    visited: those where ``count_of`` is not 1 (0 where uncovered) and
+    those in ``multi``.
     """
     dims = inst.torus
-    cover, comp_of, count_of, multi = _coverage(inst, classes)
+    comp_of, count_of, multi = _coverage(inst, classes)
     violations = []
-    for flat in sorted({*flats_not_one(cover), *flats_not_one(count_of)}):
-        state = cover[flat]
+    for flat in sorted({*flats_not_one(count_of), *multi}):
         x = unflatten(flat, dims)
-        if state == 0:
+        if flat in multi:
+            ids = ", ".join(str(c) for c in multi[flat])
+            violations.append(Violation(
+                x, "multi_component", f"components {ids} all within distance {inst.t}"))
+        elif comp_of[flat] < 0:
             violations.append(Violation(
                 x, "uncovered", f"no component within distance {inst.t}"))
-        elif state == 1:
+        else:
             # No per-vertex distance array (it would cost a word per torus
             # vertex); recompute the one distance this rare message needs.
             cid = comp_of[flat]
@@ -415,10 +412,6 @@ def _verify_by_expansion(inst: PDDSInstance, classes: _Classes) -> list[Violatio
             violations.append(Violation(
                 x, "ambiguous_nearest",
                 f"{count_of[flat]} nearest vertices in component {cid} at distance {d}"))
-        else:
-            ids = ", ".join(str(c) for c in multi[flat])
-            violations.append(Violation(
-                x, "multi_component", f"components {ids} all within distance {inst.t}"))
     return violations
 
 

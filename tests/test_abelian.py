@@ -22,7 +22,7 @@ from pdds.abelian import (
 from pdds.constructions import pdds1_q3
 from pdds.lattice import MAX_VOLUME, strides, unflatten
 
-from group_oracle import phi_eval, scale
+from group_oracle import add, invariant_factors, phi_eval, prime_exponents, scale
 
 
 def _rank(group, a):
@@ -37,10 +37,10 @@ def test_group_arithmetic_exhaustive_z2xz4():
     els = list(g.elements())
     assert len(els) == 8 and len(set(els)) == 8
     for a in els:
-        assert g.add(a, g.neg(a)) == g.identity()
+        assert add(g, a, g.neg(a)) == g.identity()
         assert unflatten(_rank(g, a), g.moduli) == a
         for b in els:
-            assert g.add(a, b) == g.add(b, a)
+            assert add(g, a, b) == add(g, b, a)
     # ranks enumerate 0..7 in the same order as elements()
     assert [_rank(g, a) for a in els] == list(range(8))
 
@@ -57,7 +57,7 @@ def test_scale_matches_repeated_addition():
     x = (5,)
     acc = g.identity()
     for k in range(1, 20):
-        acc = g.add(acc, x)
+        acc = add(g, acc, x)
         assert scale(g, k, x) == acc
     assert scale(g, -1, x) == g.neg(x)
     assert scale(g, 0, x) == g.identity()
@@ -74,13 +74,11 @@ def test_element_order():
 
 
 def test_canonical_invariant_factors():
-    assert AbelianGroup((6, 4)).canonical() == AbelianGroup((2, 12))
-    assert AbelianGroup((3, 2)).canonical() == AbelianGroup((6,))
-    assert AbelianGroup((1, 5, 1)).canonical() == AbelianGroup((5,))
+    assert invariant_factors((6, 4)) == (2, 12)
+    assert invariant_factors((3, 2)) == (6,)
+    assert invariant_factors((1, 5, 1)) == (5,)
     # same multiset of primary components, different presentations
-    a = AbelianGroup((8, 9, 5))
-    b = AbelianGroup((5, 9, 8))
-    assert a.canonical() == b.canonical() == AbelianGroup((360,))
+    assert invariant_factors((8, 9, 5)) == invariant_factors((5, 9, 8)) == (360,)
 
 
 def test_str_form():
@@ -97,6 +95,32 @@ def test_enumerate_abelian_groups():
     assert len(enumerate_abelian_groups(72)) == 6   # 8 -> 3 partitions, 9 -> 2
     for g in enumerate_abelian_groups(72):
         assert g.order == 72
+
+
+def _partitions_largest_first(n, most):
+    """Partitions of n into parts of at most ``most``, as non-increasing
+    tuples, the largest first part first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, most), 0, -1):
+        for rest in _partitions_largest_first(n - first, first):
+            yield (first,) + rest
+
+
+def _groups_by_oracle(m):
+    """enumerate_abelian_groups(m)'s moduli: per prime p^a, the prime
+    powers of each partition of a, combined across primes in product
+    order and rewritten by the invariant-factor oracle."""
+    per_prime = [[tuple(p ** e for e in part) for part in _partitions_largest_first(a, a)]
+                 for p, a in sorted(prime_exponents(m).items())]
+    return [invariant_factors(itertools.chain.from_iterable(choice))
+            for choice in itertools.product(*per_prime)]
+
+
+def test_enumerate_abelian_groups_matches_the_invariant_factor_oracle():
+    for m in [*range(1, 2001), 2 ** 24, 3 ** 12, 2 ** 8 * 3 ** 5 * 5 ** 2]:
+        got = [g.moduli for g in enumerate_abelian_groups(m)]
+        assert got == _groups_by_oracle(m), m
 
 
 def test_enumerate_abelian_groups_up_to_the_volume_cap_at_once():

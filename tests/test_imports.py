@@ -157,3 +157,50 @@ def test_check_sees_public_names_without_callers_or_docs():
     exported = ["documented", "exported_only"]
     assert _public_without_caller(sources, exported, readme) == [
         "a.orphan", "a.exported_only", "a.named_only"]
+
+
+def _private_imports(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each private (``_name``, not dunder) name a
+    package module imports from another, or reads off one it imported
+    whole; the package is ``pdds``, imported relatively or absolutely."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    out = []
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        modules = set()         # names bound to a package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "pdds"):
+                for alias in node.names:
+                    if node.module in (None, "pdds") and alias.name in sources:
+                        modules.add(alias.asname or alias.name)
+                    elif private(alias.name):
+                        out.append(f"{mod}: {alias.name}")
+            elif isinstance(node, ast.Import):
+                modules |= {a.asname for a in node.names
+                            if a.asname and a.name.split(".")[0] == "pdds"}
+        out += [f"{mod}: {n.attr}" for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in modules and private(n.attr)]
+    return out
+
+
+def test_no_module_imports_another_modules_private_name():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _private_imports(sources) == []
+
+
+def test_check_sees_private_names_taken_from_other_modules():
+    sources = {
+        "a": "def _helper():\n    pass\ndef public():\n    return _helper()\n",
+        "b": ("from __future__ import annotations\n"
+              "from . import __version__, a\nfrom .a import _helper, public\n"
+              "x = a._helper, a.public, a.__name__\n"),
+        "c": ("import pdds.a as m\nfrom pdds.a import _helper as h\n"
+              "from pdds import a as other\ny = m._helper, other._helper\n"),
+        "d": "from collections import _private\nimport os\nz = os._exit\n",
+    }
+    assert _private_imports(sources) == ["b: _helper", "b: _helper", "c: _helper",
+                                         "c: _helper", "c: _helper"]

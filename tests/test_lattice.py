@@ -67,7 +67,6 @@ def test_lee_distance_triangle_inequality_on_torus():
 def test_box_spec_validation_and_json():
     spec = BoxSpec((3, 1, 2))
     assert spec.dim == 3
-    assert spec.volume == 6
     assert BoxSpec.from_json(spec.to_json()) == spec
     with pytest.raises(ValueError):
         BoxSpec((2, 0))

@@ -151,12 +151,12 @@ def _reference_labels_and_fills(obj, spec, torus):
         for u, ci in comp_index.items():
             labels[u] = str(ci)
     else:
-        cover, comp_of, _, _ = coverage(inst)
+        comp_of, _, multi = coverage(inst)
         vertices = _cartesian(*(range(d) for d in dims))
-        for u, state, ci in zip(vertices, cover, comp_of):
-            if state == 2:
+        for f, (u, ci) in enumerate(zip(vertices, comp_of)):
+            if f in multi:
                 labels[u] = "?"
-            elif state == 1:
+            elif ci >= 0:
                 labels[u] = f"{ci}*" if u in comp_index else str(ci)
     return dims, labels, comp_index
 

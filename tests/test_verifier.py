@@ -403,7 +403,8 @@ def _class_signature(comp, dims):
 
 
 def _coverage_from_scan(inst):
-    """The :func:`coverage` arrays read off the brute-force scan."""
+    """The :func:`coverage` arrays read off the brute-force scan, and the
+    scan's count of covering components per vertex, capped at 2."""
     cover = bytearray(inst.volume)
     comp_of = [-1] * inst.volume
     count_of = bytearray(inst.volume)
@@ -415,7 +416,20 @@ def _coverage_from_scan(inst):
             count_of[flat] = min(covering[0][2], 255)
         if len(covering) > 1:
             multi[flat] = [c[0] for c in covering]
-    return cover, comp_of, count_of, multi
+    return (comp_of, count_of, multi), cover
+
+
+def _derived_cover(comp_of, count_of, multi):
+    """Per vertex 0, 1 or 2 for no, one or several components within t,
+    as a reader of the :func:`coverage` arrays derives it."""
+    return bytearray(2 if f in multi else int(c >= 0) for f, c in enumerate(comp_of))
+
+
+def _assert_coverage_matches_scan(inst):
+    want, cover = _coverage_from_scan(inst)
+    got = coverage(inst)
+    assert got == want
+    assert _derived_cover(*got) == cover
 
 
 def _translates(dims, box, t, *anchors):
@@ -438,7 +452,7 @@ def _translates_of(dims, shape, t, *anchors):
 @example(_translates((7,), (3,), 2, (5,), (5,), (1,)))           # repeat, and a wrap
 def test_translation_classes_are_exact(inst):
     _assert_exact_classes(inst)
-    assert coverage(inst) == _coverage_from_scan(inst)
+    _assert_coverage_matches_scan(inst)
 
 
 @settings(max_examples=200, deadline=None)
@@ -451,7 +465,7 @@ def test_translation_classes_are_exact(inst):
 @example(_translates((2, 2), (2, 2), 0, (0, 0), (1, 1)))          # the whole torus
 def test_translation_classes_are_exact_for_any_shape(inst):
     _assert_exact_classes(inst)
-    assert coverage(inst) == _coverage_from_scan(inst)
+    _assert_coverage_matches_scan(inst)
 
 
 def test_translation_classes_of_large_boxes_stay_linear():
@@ -755,7 +769,6 @@ def _coverage_by_component(inst):
     dims = inst.torus
     row_strides = strides(dims)
     offsets = _offset_ball(len(dims), inst.t, dims)
-    cover = bytearray(inst.volume)
     comp_of = [-1] * inst.volume
     count_of = bytearray(inst.volume)
     multi = {}
@@ -775,16 +788,12 @@ def _coverage_by_component(inst):
                 elif d == entry[0]:
                     entry[1] += 1
         for flat, (_, cnt) in local.items():
-            if cover[flat] == 0:
-                cover[flat] = 1
+            if comp_of[flat] < 0:
                 comp_of[flat] = cid
                 count_of[flat] = min(cnt, 255)
             else:
-                if cover[flat] == 1:
-                    multi[flat] = [comp_of[flat]]
-                    cover[flat] = 2
-                multi[flat].append(cid)
-    return cover, comp_of, count_of, multi
+                multi.setdefault(flat, [comp_of[flat]]).append(cid)
+    return comp_of, count_of, multi
 
 
 @st.composite
