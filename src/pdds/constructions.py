@@ -14,15 +14,16 @@ and the homomorphism takes the first generator tuple from a short, fixed
 candidate list that maps the tile bijectively onto the group.  Families
 with fixed generator images pass a one-element list; where source formulas
 were ambiguous or failed the bijection test, the list holds the
-alternatives in a documented order.  The chosen assignments are pinned by
-regression tests.  The bijection is checked once per candidate at build
-time, and a builder whose candidates all fail raises ValueError, so a
-silently wrong assignment cannot escape.
+alternatives in a documented order, pinned by regression tests.  The
+bijection is an invariant of the type: a :class:`Construction`, built or
+loaded, is made only when :func:`check_bijection` passes, so a silently
+wrong assignment cannot escape and no consumer of one checks it again.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import gcd
 from operator import add, sub
@@ -82,14 +83,27 @@ class Tile:
         return cls(shape, labels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Construction:
-    """A tile, its homomorphism, and the component box it tiles with."""
+    """A tile, its homomorphism, and the component box it tiles with; made
+    only when the homomorphism maps the tile bijectively onto its group."""
 
     t: int
     h_spec: BoxSpec
     tile: Tile
     hom: Homomorphism
+
+    def __post_init__(self) -> None:
+        n, size, order = self.tile.shape.dim, len(self.tile.shape), self.hom.group.order
+        if self.h_spec.dim != n:
+            raise ValueError(f"box spec h has {self.h_spec.dim} axes, tile has {n}")
+        if self.hom.dim != n:
+            raise ValueError(f"homomorphism has {self.hom.dim} generators for {n} axes")
+        if order != size:           # refuted without a scan of the tile
+            raise ValueError(f"group of order {order} cannot be a bijective image "
+                             f"of a tile of {size} vertices")
+        if not (res := check_bijection(self.hom, self.tile.shape.vertices)).ok:
+            raise ValueError(f"tile does not map bijectively onto the group: {res}")
 
     @property
     def lattice_like(self) -> bool:
@@ -104,8 +118,8 @@ class Construction:
         """
         comps = [c.vertices for c in self.tile.components_by_id().values()]
         shifts = [tuple(map(sub, c[0], comps[0][0])) for c in comps]
-        if not comps or any(tuple(tuple(map(sub, v, s)) for v in c) != comps[0]
-                            for c, s in zip(comps, shifts)):
+        if any(tuple(tuple(map(sub, v, s)) for v in c) != comps[0]
+               for c, s in zip(comps, shifts)):
             return False
         columns = syndrome_columns(self.hom)
         ranks = {syndrome_rank(columns, s) for s in shifts}
@@ -125,17 +139,9 @@ class Construction:
     def from_json(cls, obj: dict) -> "Construction":
         h_spec = BoxSpec.from_json(obj["h"])
         tile = Tile.from_json(obj["tile"])
-        if h_spec.dim != tile.shape.dim:
-            raise ValueError(f"box spec h has {h_spec.dim} axes, tile has {tile.shape.dim}")
         t = check_radius(obj.get("t"))
         _check_labels(tile, t)
-        hom = Homomorphism.from_json(obj["hom"])
-        if hom.dim != tile.shape.dim:
-            raise ValueError(f"homomorphism has {hom.dim} generators for {tile.shape.dim} axes")
-        if hom.group.order != len(tile.shape):
-            raise ValueError(f"group of order {hom.group.order} cannot be a bijective "
-                             f"image of a tile of {len(tile.shape)} vertices")
-        return cls(t=t, h_spec=h_spec, tile=tile, hom=hom)
+        return cls(t, h_spec, tile, Homomorphism.from_json(obj["hom"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -232,7 +238,7 @@ def _build(t: int, spec: BoxSpec, copies: Sequence[Shape], group: AbelianGroup,
     tile = Tile(Shape.of(labels.keys()), labels)
     for gens in candidates:
         hom = Homomorphism(group, gens)
-        if check_bijection(hom, tile.shape.vertices).ok:
+        with suppress(ValueError):
             return Construction(t, spec, tile, hom)
     raise ValueError(f"unsupported parameters for {what}: "
                      f"no candidate generator assignment is a bijection")

@@ -91,9 +91,9 @@ class SyndromeTable:
 def build_syndrome_table(tile: Tile, hom: Homomorphism) -> SyndromeTable:
     """Index a tile's labels by syndrome rank.
 
-    Requires the tile-to-group bijection to hold (raises ValueError with the
-    collision or missing witness otherwise); the table then has exactly one
-    entry per group element, read off the ranks the bijection check found.
+    Scans for the tile-to-group bijection itself (ValueError with the
+    collision or missing witness), since the benchmark passes a bare pair,
+    not a ``Construction``; each group element's entry is the scan's vertex.
     """
     res = check_bijection(hom, tile.shape.vertices)
     if not res.ok:

@@ -142,27 +142,20 @@ def instantiate_on_torus(construction: Construction,
     canonical order.
 
     Precondition: every component lies inside the tile (each device is a
-    tile vertex).  The tile maps bijectively onto the group (checked here)
-    and the torus is a period multiple, so the tile's translates partition
-    the torus; then no translate repeats and its vertices are distinct mod
-    the torus, so shapes are built without a dedupe.  Builders and
-    ``Construction.from_json`` both derive the labels with
-    ``constructions._tile_labels``, so both keep the precondition.
+    tile vertex); builders and ``Construction.from_json`` both derive the
+    labels with ``constructions._tile_labels``, so both keep it.  Every
+    ``Construction`` maps its tile bijectively onto its group, and the torus
+    is a period multiple, so the tile's translates partition the torus; no
+    translate repeats and its vertices are distinct mod the torus, so shapes
+    are built without a dedupe.
     """
-    hom = construction.hom
-    periods = torus_periods(hom)
+    periods = torus_periods(construction.hom)
     dims = periods if torus is None else check_periods(periods, torus)
     check_volume(dims)
 
-    # A tile that no longer maps bijectively cannot tile anything.
-    res = check_bijection(hom, construction.tile.shape.vertices)
-    if not res.ok:
-        raise ValueError("construction corrupt: tile does not map bijectively "
-                         f"onto the group: {res}")
-
     # Cell-major: each tile vertex's copies over the whole kernel as one
     # coordinate column per axis, zipped into vertices, then into copies.
-    columns = axis_columns(_kernel_elements(hom, dims), dims, (1,) * len(dims))
+    columns = axis_columns(_kernel_elements(construction.hom, dims), dims, (1,) * len(dims))
     placed = []
     for comp in construction.tile.components_by_id().values():
         copies = [zip(*[col(c) for col, c in zip(columns, v)]) for v in comp.vertices]

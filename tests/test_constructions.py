@@ -299,6 +299,109 @@ def test_construction_json_checks_the_generator_count(capsys, tmp_path):
         assert f"has {count} generators" in capsys.readouterr().err
 
 
+def test_construction_rejects_corrupted_tile_with_witness():
+    # A corrupt in-memory tile used to be caught only when a consumer
+    # (instantiate_on_torus) scanned it; now the Construction cannot be made.
+    # A vertex moved onto another shrinks the tile below the group order,
+    # which the order check names before any scan.
+    rng = random.Random(5)
+    corrupted = shrunk = 0
+    for c in (plc_n1(2), pdds1_square(0), pdds1_q3(), nonlattice_p2_example()):
+        for _ in range(5):
+            bent = corrupt_tile(c.tile, rng)
+            res = check_bijection(c.hom, bent.shape.vertices)
+            if res.ok:
+                assert Construction(c.t, c.h_spec, bent, c.hom).tile is bent
+                continue
+            with pytest.raises(ValueError) as err:
+                Construction(c.t, c.h_spec, bent, c.hom)
+            order, size = c.hom.group.order, len(bent.shape)
+            if size < order:
+                assert str(err.value) == (f"group of order {order} cannot be a bijective "
+                                          f"image of a tile of {size} vertices")
+                shrunk += 1
+            else:
+                assert res.status == "collision"
+                assert str(err.value) == f"tile does not map bijectively onto the group: {res}"
+            corrupted += 1
+    assert corrupted >= 15 and 0 < shrunk < corrupted
+
+
+def _plc1_with_generator_2_equal_to_generator_1():
+    """plc1(n=3)'s file with its second generator set equal to its first,
+    and what check_bijection says of that homomorphism on the tile."""
+    blob = plc_n1(3).to_json()
+    gens = blob["hom"]["generators"]
+    gens[1] = list(gens[0])
+    res = check_bijection(Homomorphism.from_json(blob["hom"]),
+                          [tuple(v) for v in blob["tile"]["vertices"]])
+    return blob, res
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["decode", "--vertex=0,0,0"],
+                                  ["render", "--format", "svg"]])
+def test_cli_reports_a_duplicate_generator_once(argv, capsys, tmp_path):
+    # The file used to load and answer lattice_like True; verify and render
+    # then failed with "construction corrupt: ...", decode with this wording.
+    blob, res = _plc1_with_generator_2_equal_to_generator_1()
+    path = tmp_path / "plc1-dup.json"
+    path.write_text(json.dumps(blob))
+    cmd, *rest = argv
+    assert cli.run([cmd, str(path), *rest]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"pdds {cmd}: tile does not map bijectively onto the group: {res}\n"
+    assert err.startswith(f"pdds {cmd}: tile does not map bijectively onto the group: "
+                          "BijectionResult(status='collision', ")
+
+
+def test_construction_json_raises_exactly_when_a_perturbed_generator_breaks_the_bijection():
+    rng = random.Random(26)
+    outcomes = []
+    for name, con in CATALOG:
+        blob = con.to_json()
+        for _ in range(3):
+            gens = [list(g) for g in con.hom.generators]
+            i = rng.randrange(len(gens))
+            while gens[i] == list(con.hom.generators[i]):
+                gens[i] = [rng.randrange(m) for m in con.hom.group.moduli]
+            bent = dict(blob, hom=dict(blob["hom"], generators=gens))
+            res = check_bijection(Homomorphism.from_json(bent["hom"]), con.tile.shape.vertices)
+            try:
+                Construction.from_json(bent)
+                loads = True
+            except ValueError as exc:
+                assert str(exc) == f"tile does not map bijectively onto the group: {res}"
+                loads = False
+            assert loads == res.ok, (name, gens)
+            outcomes.append(loads)
+    assert len(outcomes) == 300 and 0 < sum(outcomes) < 300
+
+
+_TWO = plc_n1(2)
+_SHORT = Tile(Shape.of(_TWO.tile.shape.vertices[:-1]),
+              {v: _TWO.tile.labels[v] for v in _TWO.tile.shape.vertices[:-1]})
+
+
+@pytest.mark.parametrize("h, tile, hom, message", [
+    (BoxSpec((1, 1, 1)), _TWO.tile, _TWO.hom, r"^box spec h has 3 axes, tile has 2$"),
+    (_TWO.h_spec, _TWO.tile, Homomorphism(AbelianGroup((5,)), ((1,),)),
+     r"^homomorphism has 1 generators for 2 axes$"),
+    (_TWO.h_spec, _TWO.tile, Homomorphism(AbelianGroup((3,)), ((1,), (2,))),
+     r"^group of order 3 cannot be a bijective image of a tile of 5 vertices$"),
+    (_TWO.h_spec, _TWO.tile, Homomorphism(AbelianGroup((5,)), ((1,), (1,))),
+     r"^tile does not map bijectively onto the group: BijectionResult\(status='collision', "
+     r"collision=\(\(-1, 0\), \(0, -1\)\), missing=None\)$"),
+    # No tile of |G| vertices misses an element without a collision, so a
+    # tile that is not onto the group is one the order check turns away.
+    (_TWO.h_spec, _SHORT, _TWO.hom,
+     r"^group of order 5 cannot be a bijective image of a tile of 4 vertices$"),
+], ids=["h-dimension", "hom-dimension", "order", "collision", "not-surjective"])
+def test_construction_checks_run_in_order_when_it_is_made(h, tile, hom, message):
+    with pytest.raises(ValueError, match=message):
+        Construction(_TWO.t, h, tile, hom)
+
+
 def test_lattice_like_is_derived_from_the_tile():
     # The tile decides, whatever the JSON claims.
     blob = nonlattice_p2_example().to_json()
@@ -510,22 +613,23 @@ def test_catalog_dumps_are_pinned():
 def test_load_check_matches_zn_oracle_and_torus_verify_on_corruptions(seed):
     # The per-label check this load check replaced accepted 3 of the 500
     # seed-3 corruptions that are not PDDSs: plc1(n=9, Z19), path(n=3, k=1)
-    # and box2xk(t=1, k=1, single_copy); at seed 7 it accepted 5.
+    # and box2xk(t=1, k=1, single_copy); at seed 7 it accepted 5.  The load
+    # alone decides: it checks the bijection as well as the labels.
     rng = random.Random(seed)
     on_torus = 0
     for name, con in CATALOG:
+        blob = con.to_json()
         for _ in range(5):
-            bent = Construction(con.t, con.h_spec, corrupt_tile(con.tile, rng), con.hom)
+            bent = corrupt_tile(con.tile, rng)
             try:
-                Construction.from_json(bent.to_json())
+                Construction.from_json(dict(blob, tile=bent.to_json()))
                 loads = True
             except ValueError:
                 loads = False
-            bijective = check_bijection(con.hom, bent.tile.shape.vertices).ok
-            accepted = loads and bijective
-            assert accepted == tile_is_pdds_on_zn(bent.tile, con.hom, con.t), name
-            if bijective and period_volume(con) <= VERIFY_CAP:
-                inst = instantiate_on_torus(bent)
-                assert accepted == verify_pdds(inst, strict_box=False).passed, name
+            assert loads == tile_is_pdds_on_zn(bent, con.hom, con.t), name
+            if check_bijection(con.hom, bent.shape.vertices).ok \
+                    and period_volume(con) <= VERIFY_CAP:
+                inst = instantiate_on_torus(Construction(con.t, con.h_spec, bent, con.hom))
+                assert loads == verify_pdds(inst, strict_box=False).passed, name
                 on_torus += 1
     assert on_torus >= 9
