@@ -69,7 +69,9 @@ class Tile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Tile":
-        shape = Shape.of((tuple(v) for v in obj["vertices"]), dim=obj["dim"])
+        if not is_int(dim := obj["dim"]) or dim < 1:
+            raise ValueError(f"tile dim must be a positive integer, got {dim!r}")
+        shape = Shape.of((tuple(v) for v in obj["vertices"]), dim=dim)
         labels = {}
         for entry in obj["labels"]:
             cid = entry["component"]

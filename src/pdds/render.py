@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 from .abelian import syndrome_columns, syndrome_ranks
 from .constructions import Construction
-from .lattice import TorusDims, check_volume, shifted_flats
+from .lattice import TorusDims, shifted_flats
 from .verifier import PDDSInstance, coverage, instantiate_on_torus
 
 FORMATS = ("ascii", "svg")
@@ -64,10 +64,6 @@ def _labels_and_fills(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
         if torus is not None and tuple(torus) != inst.torus:
             raise ValueError("an instance carries its own torus; drop the override")
     dims = inst.torus
-    check_volume(dims)          # before the per-vertex lists below
-    if any(comp.dim != len(dims) for comp in inst.components):
-        raise ValueError("component dimension differs from torus dimension")
-
     # Every component vertex's flat index, in component order, and its
     # component; a later component overwrites an earlier one's fill.
     member_ids = [ci for ci, comp in enumerate(inst.components) for _ in comp.vertices]
@@ -111,25 +107,23 @@ def _axis_count(obj: Union[Construction, PDDSInstance]) -> int:
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
-def render_ascii(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
-                 torus: Optional[TorusDims] = None) -> str:
-    """Planar grid as fixed-width text, second axis increasing upward."""
+def render(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
+           torus: Optional[TorusDims] = None) -> str:
+    """Render in ``spec.format``: ascii, a planar grid as fixed-width text,
+    second axis increasing upward; svg, a planar grid or side-by-side
+    planar slices of a 3-axis torus."""
     axes = _axis_count(obj)
-    if axes != 2:
-        raise ValueError(f"ascii rendering needs a 2-axis torus, got {axes}")
-    dims, labels, _ = _labels_and_fills(obj, spec, torus)
-    width = max(map(len, labels))
-    padded = [s.rjust(width) for s in labels]
-    # Row x2 holds flat indices x2, x2 + d2, ...: a stride slice.
-    h = dims[1]
-    lines = [" ".join(padded[x2::h]).rstrip() for x2 in range(h - 1, -1, -1)]
-    return "\n".join(lines) + "\n"
+    if spec.format == "ascii":
+        if axes != 2:
+            raise ValueError(f"ascii rendering needs a 2-axis torus, got {axes}")
+        dims, labels, _ = _labels_and_fills(obj, spec, torus)
+        width = max(map(len, labels))
+        padded = [s.rjust(width) for s in labels]
+        # Row x2 holds flat indices x2, x2 + d2, ...: a stride slice.
+        h = dims[1]
+        lines = [" ".join(padded[x2::h]).rstrip() for x2 in range(h - 1, -1, -1)]
+        return "\n".join(lines) + "\n"
 
-
-def render_svg(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
-               torus: Optional[TorusDims] = None) -> str:
-    """Planar grid, or side-by-side planar slices of a 3-axis torus."""
-    axes = _axis_count(obj)
     if axes not in (2, 3):
         raise ValueError(f"svg rendering needs 2 or 3 axes, got {axes}")
     dims, labels, fills = _labels_and_fills(obj, spec, torus)
@@ -166,10 +160,3 @@ def render_svg(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
     out.append("</svg>\n")     # the final newline, without copying the whole text
     return "\n".join(out)
 
-
-def render(obj: Union[Construction, PDDSInstance], spec: RenderSpec,
-           torus: Optional[TorusDims] = None) -> str:
-    """Render to the requested format (see render_ascii / render_svg)."""
-    if spec.format == "ascii":
-        return render_ascii(obj, spec, torus)
-    return render_svg(obj, spec, torus)

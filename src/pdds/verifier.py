@@ -2,7 +2,8 @@
 
 A :class:`PDDSInstance` is a concrete candidate set on a finite torus: the
 torus dimensions, the domination radius t, the component box shape, and the
-list of components.  :func:`instantiate_on_torus` produces one from a
+list of components; its geometry is checked once, when it is made.
+:func:`instantiate_on_torus` produces one from a
 construction by translating the tile's components by every kernel element of
 the homomorphism; :func:`verify_pdds` checks the defining property vertex by
 vertex:
@@ -45,14 +46,33 @@ from .lattice import (BoxSpec, Point, Shape, axis_columns, ball_size,
                       lee_distance, nearest_within, shifted_flats, unflatten)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PDDSInstance:
-    """A candidate perfect distance-dominating set on a finite torus."""
+    """A candidate perfect distance-dominating set on a finite torus.
+
+    Made only when the torus has positive int axes and at most
+    ``MAX_VOLUME`` vertices and h and every component, non-empty, have its
+    dimension; no consumer checks these again.  t is not checked here: the
+    benchmark's negative-t input makes an instance with t = -1 in memory and
+    expects :func:`verify_pdds`, which checks t as ``from_json`` does, to
+    refuse it.
+    """
 
     torus: tuple[int, ...]
     t: int
     h_spec: BoxSpec
     components: list[Shape]
+
+    def __post_init__(self) -> None:
+        dims = tuple(self.torus)
+        object.__setattr__(self, "torus", check_torus(len(dims), dims))
+        check_volume(dims)
+        if self.h_spec.dim != len(dims):
+            raise ValueError(f"box spec h has {self.h_spec.dim} axes, torus has {len(dims)}")
+        if not all(comp.vertices for comp in self.components):
+            raise ValueError("empty component")
+        if any(comp.dim != len(dims) for comp in self.components):
+            raise ValueError("component dimension differs from torus dimension")
 
     @property
     def dim(self) -> int:
@@ -72,10 +92,7 @@ class PDDSInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PDDSInstance":
-        torus = check_torus(len(obj["torus"]), obj["torus"])
-        h_spec = BoxSpec.from_json(obj["h"])
-        if h_spec.dim != len(torus):
-            raise ValueError(f"box spec h has {h_spec.dim} axes, torus has {len(torus)}")
+        torus, h_spec = obj["torus"], BoxSpec.from_json(obj["h"])
         comps = [Shape.of((tuple(v) for v in comp), dim=len(torus))
                  for comp in obj["components"]]
         comps.sort(key=lambda s: s.vertices)
@@ -190,15 +207,10 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
     ``keys[k]`` is their canonical offsets (:func:`_canonical`),
     ``anchors[k]`` per member in order an a with key + a equal to it mod
     the torus, ``members[k]`` the members' component ids, ascending.
-    Raises ValueError for a component whose dimension is not the torus's,
-    for a torus above ``MAX_VOLUME`` and for a class whose map could reach
-    more than ``MAX_CLASS_CELLS`` cells: every verify path starts here.
+    Raises ValueError for a class whose map could reach more than
+    ``MAX_CLASS_CELLS`` cells: every verify path starts here.
     """
     dims = inst.torus
-    dim = len(dims)
-    if any(comp.dim != dim for comp in inst.components):
-        raise ValueError("component dimension differs from torus dimension")
-    check_volume(dims)
     # A class map holds a torus offset ball per key vertex, which fits in
     # the Lee ball over the axes above 1 and in 2t + 1 residues per axis.
     ball = min(ball_size(sum(d > 1 for d in dims), inst.t),
@@ -213,7 +225,7 @@ def _translation_classes(inst: PDDSInstance) -> _Classes:
     members: list[list[int]] = []
     for cid, comp in enumerate(inst.components):
         verts = comp.vertices
-        w = verts[0] if verts else (0,) * dim
+        w = verts[0]
         raw = tuple(map(sub, chain.from_iterable(verts), cycle(w)))
         hit = seen.get(raw)
         if hit is None:
@@ -252,7 +264,7 @@ def _canonical(offsets: tuple[Point, ...], dims: Sequence[int]
         invariant = all(map(has_pred, pts))     # along axis i
         cands = {p for p in cands if (p[i] == 0 if invariant else not has_pred(p))}
     return min(((tuple(sorted(tuple(map(mod, map(sub, p, u), dims)) for p in offsets)), u)
-                for u in cands or pts), default=((), (0,) * len(dims)))
+                for u in cands or pts))
 
 
 def _box_violations(inst: PDDSInstance, classes: _Classes) -> list[Violation]:
@@ -288,8 +300,7 @@ def coverage(inst: PDDSInstance) -> tuple[list[int], bytearray, dict[int, list[i
     distance t (-1 for none) and ``count_of[f]`` its number of nearest
     vertices (capped at 255; 0 for none); ``multi[f]`` lists, in order,
     every component within t of a vertex that several reach.  Raises
-    ValueError for a component whose dimension is not the torus's, a torus
-    above ``MAX_VOLUME`` or a class map above ``MAX_CLASS_CELLS``.
+    ValueError for a class map above ``MAX_CLASS_CELLS``.
     """
     return _coverage(inst, _translation_classes(inst))
 
@@ -418,11 +429,9 @@ def verify_pdds(inst: PDDSInstance, *, strict_box: bool = True) -> VerificationR
     violations are found.  The components are grouped into translation
     classes once; the exact-cover pass, the expansion (run only when that
     pass fails) and the box check all read that grouping.
-    Raises ValueError past ``MAX_VOLUME`` or ``MAX_CLASS_CELLS``.
+    Raises ValueError for a negative t or past ``MAX_CLASS_CELLS``.
     """
     check_radius(inst.t)
-    if not all(comp.vertices for comp in inst.components):
-        raise ValueError("empty component")
     classes = _translation_classes(inst)
     violations = [] if _exact_cover(inst, classes) else _verify_by_expansion(inst, classes)
     if strict_box:
@@ -437,11 +446,11 @@ def verify_partition(inst: PDDSInstance, tile: Tile, hom: Homomorphism) -> bool:
     For a homomorphism onto its group they do exactly when it maps
     ``tile.shape`` bijectively onto the group (the tiling-homomorphism
     correspondence), so once the torus is checked to be a period multiple
-    under ``MAX_VOLUME`` this is :func:`check_bijection`.  A homomorphism
-    not onto its group gets False, though a transversal of its image tiles
-    the torus: no tile of it serves a construction.  A tile vertex of
-    another dimension than the homomorphism's raises ValueError.
+    this is :func:`check_bijection`.  A homomorphism not onto its group
+    gets False, though a transversal of its image tiles the torus: no tile
+    of it serves a construction.  A tile vertex of another dimension than
+    the homomorphism's raises ValueError.
     """
-    check_volume(check_periods(torus_periods(hom), inst.torus))
+    check_periods(torus_periods(hom), inst.torus)
     return check_bijection(hom, tile.shape.vertices).ok
 

@@ -429,6 +429,30 @@ def test_render_of_an_instance_over_the_volume_cap_exits_one(capsys, tmp_path):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"torus": [True, 5]}, "torus dimensions must be positive integers"),
+    ({"torus": [0, 5]}, "torus dimensions must be positive integers"),
+    ({"torus": [5.5, 5]}, "torus dimensions must be positive integers"),
+    ({"torus": [1_000_000, 1_000_000]}, "more than the verifier's limit"),
+    ({"h": {"extents": [1, 1, 1]}}, "box spec h has 3 axes, torus has 2"),
+    ({"components": [[]]}, "empty component"),
+    ({"components": [[[0, 0, 0]]]}, "declared dim 2 != vertex dim 3"),
+])
+@pytest.mark.parametrize("argv", [["verify"], ["decode", "--vertex=0,0"],
+                                  ["render", "--labels", "component_ids"]])
+def test_malformed_instance_exits_one_from_every_command(capsys, tmp_path, argv,
+                                                         change, message):
+    # render of an empty component used to exit 0 and draw it
+    blob = dict({"torus": [4, 4], "t": 1, "h": {"extents": [1, 1]},
+                 "components": [[[0, 0]]]}, **change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    cmd, *rest = argv
+    code, out, err = invoke(capsys, cmd, str(path), *rest)
+    assert code == 1 and out == ""
+    assert err.startswith(f"pdds {cmd}: ") and message in err
+
+
 @pytest.mark.parametrize("command", ["verify", "decode"])
 def test_untrusted_device_label_exits_one(capsys, tmp_path, command):
     # plc1(n=2) with the device of (1, 0) moved to (2, 2) used to decode

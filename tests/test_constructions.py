@@ -270,6 +270,28 @@ def test_tile_from_json_rejects_non_integer_labels(field, value):
         Tile.from_json(blob)
 
 
+@pytest.mark.parametrize("dim", [2.0, "2", True, 0, -1])
+def test_construction_json_rejects_a_tile_dim_that_is_not_a_positive_int(dim):
+    # 2.0 used to load and verify; "2" failed as "declared dim 2 != vertex dim 2"
+    blob = plc_n1(2).to_json()
+    blob["tile"]["dim"] = dim
+    with pytest.raises(ValueError, match=f"tile dim must be a positive integer, got {dim!r}"):
+        Construction.from_json(blob)
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["decode", "--vertex=0,0"], ["render"]])
+def test_cli_rejects_a_fractional_tile_dim(argv, capsys, tmp_path):
+    blob = plc_n1(2).to_json()
+    blob["tile"]["dim"] = 2.0
+    path = tmp_path / "plc1-dim.json"
+    path.write_text(json.dumps(blob))
+    cmd, *rest = argv
+    assert cli.run([cmd, str(path), *rest]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"pdds {cmd}: tile dim must be a positive integer, got 2.0\n"
+
+
 def test_a_vertex_labelled_twice_is_rejected(capsys, tmp_path):
     # plc1(n=2) with a contradicting label of (1, 0) before its real one
     # used to load with the later label: 5 labels from 6 entries

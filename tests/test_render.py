@@ -20,8 +20,7 @@ from pdds.constructions import (
 )
 from pdds.lattice import BoxSpec, Shape, strides, t_neighborhood, translate
 from pdds.render import (_CELL, _PALETTE, _SLICE_GAP, FORMATS, LABEL_MODES,
-                         RenderSpec, _labels_and_fills, render, render_ascii,
-                         render_svg)
+                         RenderSpec, _labels_and_fills, render)
 from pdds.verifier import (PDDSInstance, coverage, instantiate_on_torus,
                            verify_pdds)
 from test_acceptance import CATALOG
@@ -279,10 +278,9 @@ def test_axis_count_is_checked_before_labelling(monkeypatch):
 
 
 def test_component_dimension_must_match_torus():
-    inst = PDDSInstance((4, 3), 1, BoxSpec((1, 1)), [Shape.of([(0, 0, 0)])])
-    for mode in ("component_ids", "devices"):
-        with pytest.raises(ValueError):
-            render(inst, RenderSpec("svg", mode))
+    # render cannot be handed such an instance: making it raises.
+    with pytest.raises(ValueError, match="component dimension differs"):
+        PDDSInstance((4, 3), 1, BoxSpec((1, 1)), [Shape.of([(0, 0, 0)])])
 
 
 def test_group_elements_requires_construction():
@@ -294,7 +292,7 @@ def test_group_elements_requires_construction():
 def test_instance_torus_override_rejected():
     inst = instantiate_on_torus(pdds1_square(0))
     with pytest.raises(ValueError):
-        render_ascii(inst, RenderSpec("ascii", "component_ids"), (12, 4))
+        render(inst, RenderSpec("ascii", "component_ids"), (12, 4))
 
 
 def test_svg_planar_structure():
@@ -325,8 +323,8 @@ def test_renders_are_deterministic():
 
 
 def test_render_svg_colors_components_distinctly():
-    svg = render_svg(instantiate_on_torus(pdds1_square(0)),
-                     RenderSpec("svg", "component_ids"))
+    svg = render(instantiate_on_torus(pdds1_square(0)),
+                 RenderSpec("svg", "component_ids"))
     fills = set(re.findall(r'fill="(#[0-9a-f]{6})"', svg))
     assert "#ffffff" in fills        # unset cells
     assert len(fills) == 3           # two components + background

@@ -91,8 +91,6 @@ def _coverage_scan(inst):
 def _verify_by_scan(inst, *, strict_box=True):
     """verify_pdds with coverage read off :func:`_coverage_scan`."""
     check_radius(inst.t)
-    if not all(comp.vertices for comp in inst.components):
-        raise ValueError("empty component")
     classes = _translation_classes(inst)
     violations = []
     for x, covering in _coverage_scan(inst):
@@ -581,8 +579,11 @@ def test_instance_json_rejects_non_integer_coordinates(vertex):
 
 
 def test_verify_pdds_rejects_negative_t():
+    # t is outside the instance's invariant: the instance is made, as the
+    # benchmark's negative-t input needs, and verification refuses it.
     inst = instantiate_on_torus(plc_n1(2))
     negative = PDDSInstance(inst.torus, -1, inst.h_spec, list(inst.components))
+    assert negative.t == -1
     for verify in (_verify_by_scan, verify_pdds):
         with pytest.raises(ValueError, match="nonnegative integer"):
             verify(negative)
@@ -955,12 +956,38 @@ def test_verify_partition_walk_and_bijection_agree_on_random_codes(case):
 
 
 def test_wrong_dimension_component_raises_on_both_paths():
-    inst = PDDSInstance((5, 5), 1, BoxSpec((1, 1)), [Shape.of([(0, 0, 0)])])
-    for verify in (verify_pdds, _verify_by_scan):
-        with pytest.raises(ValueError):
-            verify(inst)
+    # Neither verify path nor coverage can be handed such an instance:
+    # making it raises.
     with pytest.raises(ValueError, match="component dimension differs"):
-        coverage(inst)
+        PDDSInstance((5, 5), 1, BoxSpec((1, 1)), [Shape.of([(0, 0, 0)])])
+
+
+_GOOD = [Shape.of([(0, 0)])]
+
+
+@pytest.mark.parametrize("torus, h, components, match", [
+    ((True, 5), (1, 1), _GOOD, "positive integers"),
+    ((0, 5), (1, 1), _GOOD, "positive integers"),
+    ((5.0, 5), (1, 1), _GOOD, "positive integers"),
+    ((1_000_000, 1_000_000), (1, 1), _GOOD, "more than the verifier's limit"),
+    ((5, 5), (1,), _GOOD, "box spec h has 1 axes, torus has 2"),
+    ((5, 5), (1, 1), [Shape.of([], dim=2)], "empty component"),
+    ((5, 5), (1, 1), [Shape.of([(0, 0, 0)])], "component dimension differs"),
+])
+def test_malformed_instance_is_refused_when_it_is_made(torus, h, components, match):
+    with pytest.raises(ValueError, match=match):
+        PDDSInstance(torus, 1, BoxSpec(h), components)
+    blob = {"torus": list(torus), "t": 1, "h": {"extents": list(h)},
+            "components": [[list(v) for v in c.vertices] for c in components]}
+    with pytest.raises(ValueError):
+        PDDSInstance.from_json(blob)
+
+
+def test_instance_torus_is_a_tuple_and_the_instance_is_frozen():
+    inst = PDDSInstance([4, 4], 1, BoxSpec((1, 1)), [Shape.of([(0, 0)])])
+    assert inst.torus == (4, 4)
+    with pytest.raises(AttributeError):
+        inst.t = 2
 
 
 @pytest.mark.parametrize("extents", [[1], [1, 1, 1]])
@@ -984,14 +1011,14 @@ def test_construction_json_rejects_box_spec_of_other_dimension(extents):
 def test_oversized_torus_is_rejected_before_allocating():
     # (10^6, 10^6) used to raise MemoryError out of coverage
     assert VERIFY_CAP < MAX_VOLUME
+    # No over-cap instance can be made, so verify_pdds, coverage and
+    # verify_partition never see one; instantiate_on_torus refuses the
+    # torus before it builds a copy.
     huge = (1_000_000, 1_000_000)
-    inst = PDDSInstance(huge, 1, BoxSpec((1, 1)), [Shape.of([(0, 0)])])
-    c = plc_n1(2)
-    for call in (lambda: verify_pdds(inst), lambda: _verify_by_scan(inst),
-                 lambda: coverage(inst), lambda: verify_partition(inst, c.tile, c.hom),
-                 lambda: instantiate_on_torus(c, huge)):
-        with pytest.raises(ValueError, match="more than the verifier's limit"):
-            call()
+    with pytest.raises(ValueError, match="more than the verifier's limit"):
+        PDDSInstance(huge, 1, BoxSpec((1, 1)), [Shape.of([(0, 0)])])
+    with pytest.raises(ValueError, match="more than the verifier's limit"):
+        instantiate_on_torus(plc_n1(2), huge)
 
 
 @st.composite
